@@ -16,12 +16,13 @@
 //!   carry this plan's canonical hash, and the merged cell set must cover
 //!   the plan's full matrix (missing or duplicated cells are named
 //!   exactly) — no cell is ever re-run. The merge is *streamed*: a k-way
-//!   merge over one [`ShardCursor`] per file folds every cell straight
-//!   into a [`StreamingAggregator`], so peak memory holds one decoded cell
-//!   per shard regardless of shard size. Pass `--verify-rerun` to
-//!   additionally re-run the whole plan unsharded in-process and assert
-//!   the merged canonical cell stream is **byte-identical** (compared via
-//!   a running digest, so the merged cells are still never materialized).
+//!   [`ShardMerger`] over the files folds every cell straight into a
+//!   [`StreamingAggregator`], so peak memory holds one decoded cell per
+//!   shard regardless of shard size. Pass `--verify-rerun` to additionally
+//!   re-run the whole plan unsharded in-process and assert the merged
+//!   canonical cell stream is **byte-identical** (compared as digest-only
+//!   [`CellStream`]s, so the merged cells are still never materialized; a
+//!   mismatch names the first divergent cell coordinate).
 //! * `campaign_report --surface` — additionally print the
 //!   attack-success-probability surface: per (configuration, world,
 //!   attack class), the success and detection rates over judged cells
@@ -41,7 +42,7 @@
 //!   [`ShardWriter`] (one cell in memory at a time), and `--synthetic
 //!   --merge FILE...` stream-merges such files gated by the synthetic
 //!   plan's hash and shape, always cross-checking the merged canonical
-//!   cell stream digest against an in-process regeneration — so the
+//!   cell stream against an in-process regeneration — so the
 //!   "merge peak memory is independent of shard size" experiment runs
 //!   end-to-end under the same cap.
 //!
@@ -71,10 +72,10 @@ use nvariant_bench::{
     render_table, resolve_cache_dir, verify_diversity_gate, EXIT_ANALYSIS_FINDINGS,
 };
 use nvariant_campaign::{
-    CampaignPlan, CampaignReport, PlanShape, ShardCursor, ShardHeader, ShardMerger, ShardWriter,
-    StreamingAggregator, SyntheticSweep,
+    CampaignPlan, CampaignReport, CellResult, ShardHeader, ShardMerger, ShardWriter,
+    StreamMergeError, StreamingAggregator, SyntheticSweep,
 };
-use nvariant_types::fnv::Fnv1a;
+use nvariant_fleet::{find_divergence, CellStream};
 use std::io::BufWriter;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -312,8 +313,8 @@ fn run_synthetic_mode(args: &Args) {
         return;
     }
     if !args.merge.is_empty() {
-        run_synthetic_merge(
-            &sweep,
+        run_merge(
+            &MergeTarget::Synthetic(&sweep),
             &args.merge,
             args.surface,
             args.surface_out.as_deref(),
@@ -453,96 +454,6 @@ fn run_shard_mode(plan: &CampaignPlan, index: usize, count: usize, workers: usiz
     println!("Wrote shard report to {out}");
 }
 
-/// The running digest of a canonical cell stream: FNV-1a over every cell's
-/// canonical line (newline-terminated), in canonical order. Two reports
-/// whose headers and cell counts match and whose stream digests agree are
-/// byte-identical in canonical serialization — without either side holding
-/// more than one cell at a time.
-#[derive(Debug, Default)]
-struct CanonicalDigest {
-    hasher: Fnv1a,
-    cells: usize,
-}
-
-impl CanonicalDigest {
-    fn push(&mut self, line: &str) {
-        self.hasher.write_str(line);
-        self.hasher.write_str("\n");
-        self.cells += 1;
-    }
-
-    fn finish(&self) -> (u64, usize) {
-        (self.hasher.finish(), self.cells)
-    }
-}
-
-/// Opens, gates, and k-way merges shard files into a fresh aggregator,
-/// returning it alongside the running digest of the merged canonical cell
-/// stream. Every validation or parse failure prints the offending file and
-/// exits. Peak memory holds one decoded cell per shard however large the
-/// shards are.
-fn stream_merge_shards(
-    files: &[String],
-    expected_hash: u64,
-    expected_shape: PlanShape,
-) -> (StreamingAggregator, CanonicalDigest) {
-    let mut cursors = Vec::with_capacity(files.len());
-    for file in files {
-        let cursor = ShardCursor::open(Path::new(file)).unwrap_or_else(|error| {
-            eprintln!("{file}: {error}");
-            std::process::exit(1);
-        });
-        let header = cursor.header();
-        // Gate on this coordinator's own plan before any aggregation: a
-        // shard from a differently-shaped plan (or the wrong --quick
-        // setting) is rejected here even if every *shard file* agrees.
-        if header.plan_hash != expected_hash {
-            eprintln!(
-                "{file}: shard plan hash {:#018x} does not match this plan ({expected_hash:#018x}); \
-                 was the worker run with a different --quick setting or plan version?",
-                header.plan_hash
-            );
-            std::process::exit(1);
-        }
-        // The shape must be this plan's too: merge validates coverage
-        // against the *declared* shape, so a tampered shape line could
-        // otherwise shrink the expected matrix and pass a subset off as
-        // complete.
-        if header.shape != expected_shape {
-            eprintln!(
-                "{file}: shard declares matrix shape {} but this plan is {expected_shape}",
-                header.shape
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "Opened {file}: shard of plan {:#018x}, {:.1?} of shard wall",
-            header.plan_hash, header.total_wall
-        );
-        cursors.push(cursor);
-    }
-    let mut merger = ShardMerger::new(cursors).unwrap_or_else(|error| {
-        eprintln!("merge failed: {error}");
-        std::process::exit(1);
-    });
-    let mut aggregator = StreamingAggregator::from_header(merger.header());
-    let mut digest = CanonicalDigest::default();
-    loop {
-        match merger.next_cell() {
-            Ok(Some(cell)) => {
-                aggregator.absorb(&cell);
-                digest.push(&cell.canonical_line());
-            }
-            Ok(None) => break,
-            Err(error) => {
-                eprintln!("merge failed: {error}");
-                std::process::exit(1);
-            }
-        }
-    }
-    (aggregator, digest)
-}
-
 /// `--synthetic --shard I/N --out FILE`: write one round-robin shard of
 /// the synthetic sweep as an interchange file, through the streaming
 /// [`ShardWriter`] — the producer's peak memory is one cell, so even a
@@ -583,113 +494,158 @@ fn run_synthetic_shard(sweep: &SyntheticSweep, index: usize, count: usize, out: 
     println!("Wrote synthetic shard report to {out}");
 }
 
-/// `--synthetic --merge FILE...`: stream-merge synthetic shard files,
-/// gated by the synthetic plan's hash and shape. Because every synthetic
-/// cell is regenerable in-process for the cost of a fold, the canonical
-/// byte-identity cross-check that the real matrix gates behind
-/// `--verify-rerun` runs unconditionally here — still in constant memory,
-/// comparing running digests of the merged and regenerated cell streams.
-fn run_synthetic_merge(
-    sweep: &SyntheticSweep,
-    files: &[String],
-    surface: bool,
-    surface_out: Option<&Path>,
-) {
-    let (aggregator, digest) = stream_merge_shards(files, sweep.plan_hash(), sweep.shape);
-    println!(
-        "\nMerged report (plan hash {:#018x}):",
-        aggregator.plan_hash()
-    );
-    println!("{}", aggregator.render_summary());
-    if surface {
-        emit_surface(&aggregator, surface_out);
-    }
-    // Unlike the real matrix, verdict mismatches are *modeled data* in the
-    // synthetic sweep (the surface reports them per group), not a failure.
-
-    let mut regenerated = CanonicalDigest::default();
-    for linear in 0..sweep.cell_count() {
-        regenerated.push(&sweep.cell(linear).canonical_line());
-    }
-    let identical = regenerated.finish() == digest.finish();
-    println!(
-        "Synthetic determinism check ({} shard file(s) vs regenerated stream): {}",
-        files.len(),
-        if identical {
-            "byte-identical canonical cell streams"
-        } else {
-            "MISMATCH"
-        }
-    );
-    if !identical {
-        std::process::exit(1);
-    }
+/// What a `--merge` validates its shard files against.
+enum MergeTarget<'a> {
+    /// The real matrix: verdict mismatches fail the merge, and the
+    /// unsharded re-run is the byte-identity reference under
+    /// `--verify-rerun` only.
+    Plan {
+        plan: &'a CampaignPlan,
+        workers: usize,
+        verify_rerun: bool,
+    },
+    /// The synthetic sweep: verdict mismatches are *modeled data* (the
+    /// surface reports them per group), and since every cell regenerates
+    /// for the cost of a fold, the regenerated stream is always the
+    /// reference.
+    Synthetic(&'a SyntheticSweep),
 }
 
-/// `--merge FILE...`: validate and merge shard files. Validation-only by
-/// default — the plan hash gates the merge and the plan's cell matrix is
-/// checked for coverage, so no cell is ever re-run. The merge itself
-/// streams: one [`ShardCursor`] per file feeds a k-way [`ShardMerger`],
-/// every merged cell folds into a [`StreamingAggregator`] and is dropped,
-/// so peak memory holds one decoded cell per shard however large the
-/// shards are. `--verify-rerun` additionally re-runs the plan unsharded
-/// and compares canonical cell streams by running digest.
-fn run_merge_mode(
-    plan: &CampaignPlan,
+/// Prints why a `--merge` failed, naming the shard file when one file is
+/// at fault, and exits.
+fn merge_failed(files: &[String], error: &StreamMergeError) -> ! {
+    match error {
+        StreamMergeError::Shard { shard, error } => eprintln!("{}: {error}", files[*shard]),
+        StreamMergeError::Foreign { shard, error } => eprintln!(
+            "{}: {error}; was it written with a different --quick or --replicate-factor setting?",
+            files[*shard]
+        ),
+        StreamMergeError::Merge(error) => eprintln!("merge failed: {error}"),
+    }
+    std::process::exit(1);
+}
+
+/// `--merge FILE...`: validate and merge shard files. Validation-only —
+/// every file must belong to the target's plan (hash and shape), and the
+/// merged cells must cover its matrix, so no cell is ever re-run. The
+/// merge streams: a k-way [`ShardMerger`] over the files folds every cell
+/// into a [`StreamingAggregator`] and a digest-only [`CellStream`] and
+/// drops it, so peak memory holds one decoded cell per shard however large
+/// the shards are (plus 8 bytes of digest chain per cell).
+fn run_merge(
+    target: &MergeTarget<'_>,
     files: &[String],
-    workers: usize,
-    verify_rerun: bool,
     surface: bool,
     surface_out: Option<&Path>,
 ) {
-    let (aggregator, digest) = stream_merge_shards(files, plan.plan_hash(), plan.shape());
+    let (plan_hash, shape) = match target {
+        MergeTarget::Plan { plan, .. } => (plan.plan_hash(), plan.shape()),
+        MergeTarget::Synthetic(sweep) => (sweep.plan_hash(), sweep.shape),
+    };
+    let mut merger =
+        ShardMerger::open(files, plan_hash, shape).unwrap_or_else(|e| merge_failed(files, &e));
+    let mut aggregator = StreamingAggregator::from_header(merger.header());
+    let mut merged = CellStream::new();
+    while let Some(cell) = merger
+        .next_cell()
+        .unwrap_or_else(|e| merge_failed(files, &e))
+    {
+        aggregator.absorb(&cell);
+        merged.push(&cell.canonical_line());
+    }
     println!(
-        "\nMerged report (plan hash {:#018x}):",
-        aggregator.plan_hash()
+        "\nMerged report ({} shard file(s), plan hash {plan_hash:#018x}):",
+        files.len()
     );
     println!("{}", aggregator.render_summary());
     if surface {
         emit_surface(&aggregator, surface_out);
     }
 
-    let mismatches = aggregator.verdict_mismatches();
-    if mismatches > 0 {
-        println!("VERDICT MISMATCHES: {mismatches}");
-        std::process::exit(1);
-    }
-
-    if verify_rerun {
-        // The belt-and-braces cross-check: re-run the whole plan unsharded
-        // in-process and demand canonical byte identity — compared as a
-        // running digest over the canonical cell stream, so the merged
-        // cells still never materialize.
-        let whole = plan.run(workers);
-        let mut whole_digest = CanonicalDigest::default();
-        for cell in &whole.cells {
-            whole_digest.push(&cell.canonical_line());
-        }
-        let identical = whole.plan_hash == aggregator.plan_hash()
-            && whole.base_seed == aggregator.base_seed()
-            && whole.shape == aggregator.shape()
-            && whole_digest.finish() == digest.finish();
-        println!(
-            "Shard determinism check ({} shard file(s) vs unsharded re-run): {}",
-            files.len(),
-            if identical {
-                "byte-identical canonical reports"
-            } else {
-                "MISMATCH"
-            }
-        );
-        if !identical {
+    // The observed side of a divergence: the files re-merged up to it.
+    let merged_cell = |index: usize| {
+        let mut merger = ShardMerger::open(files, plan_hash, shape).ok()?;
+        std::iter::from_fn(|| merger.next_cell().ok().flatten()).nth(index)
+    };
+    match target {
+        MergeTarget::Plan { .. } if aggregator.verdict_mismatches() > 0 => {
+            println!("VERDICT MISMATCHES: {}", aggregator.verdict_mismatches());
             std::process::exit(1);
         }
-    } else {
-        println!(
+        MergeTarget::Plan {
+            verify_rerun: false,
+            ..
+        } => println!(
             "Validated {} shard file(s) against plan hash and cell matrix (no re-run; \
              pass --verify-rerun for the in-process byte-identity cross-check)",
             files.len()
+        ),
+        MergeTarget::Plan { plan, workers, .. } => {
+            let whole = plan.run(*workers);
+            let reference = |index: usize| whole.cells[index].clone();
+            let count = whole.cells.len();
+            check_determinism(
+                files.len(),
+                &merged,
+                "unsharded re-run",
+                count,
+                reference,
+                merged_cell,
+            );
+        }
+        MergeTarget::Synthetic(sweep) => {
+            let reference = |index: usize| sweep.cell(index);
+            let count = sweep.cell_count();
+            check_determinism(
+                files.len(),
+                &merged,
+                "regenerated stream",
+                count,
+                reference,
+                merged_cell,
+            );
+        }
+    }
+}
+
+/// The byte-identity cross-check of a merge: the merged canonical cell
+/// stream against `count` reference cells, by canonical index. A
+/// divergence is located in O(log cells) prefix-digest probes and reported
+/// with the first divergent cell's coordinates and both canonical lines,
+/// then the process exits non-zero.
+fn check_determinism(
+    shard_files: usize,
+    merged: &CellStream,
+    against: &str,
+    count: usize,
+    reference_cell: impl Fn(usize) -> CellResult,
+    merged_cell: impl FnOnce(usize) -> Option<CellResult>,
+) {
+    let reference =
+        CellStream::from_lines((0..count).map(|index| reference_cell(index).canonical_line()));
+    let scan = find_divergence(&reference, merged, |index| {
+        let expected = reference_cell(index);
+        let observed = merged_cell(index).map_or_else(
+            || "<unrecoverable>".to_string(),
+            |cell| cell.canonical_line(),
         );
+        (
+            expected.spec.coordinates(),
+            expected.canonical_line(),
+            observed,
+        )
+    });
+    let verdict = match &scan.divergence {
+        None => "byte-identical canonical cell streams".to_string(),
+        Some(_) => format!(
+            "DIVERGED (located in {} prefix-digest probes over {count} cells)",
+            scan.probes
+        ),
+    };
+    println!("Determinism check ({shard_files} shard file(s) vs {against}): {verdict}");
+    if let Some(divergence) = scan.divergence {
+        eprintln!("{divergence}");
+        std::process::exit(1);
     }
 }
 
@@ -754,11 +710,13 @@ fn main() {
         // --verify-rerun is the *independent* recomputation cross-check, so
         // it runs on the uncached plan — a poisoned cache cannot vouch for
         // itself.
-        run_merge_mode(
-            &uncached_plan,
+        run_merge(
+            &MergeTarget::Plan {
+                plan: &uncached_plan,
+                workers: args.workers,
+                verify_rerun: args.verify_rerun,
+            },
             &args.merge,
-            args.workers,
-            args.verify_rerun,
             args.surface,
             args.surface_out.as_deref(),
         );

@@ -1,5 +1,5 @@
-//! Shared helpers for the benchmark harness and the table-reproduction
-//! report binaries.
+//! Shared helpers for the table-reproduction report binaries and the
+//! campaign binaries.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

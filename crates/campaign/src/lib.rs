@@ -21,11 +21,18 @@
 //!   processes that never communicate;
 //! * every report carries the plan's canonical hash
 //!   ([`CampaignPlan::plan_hash`]: name + seed + full axes) and matrix
-//!   shape, so [`CampaignReport::merge`] is *validation-only*: it rejects
-//!   shards from differently-shaped plans and incomplete shard sets
-//!   (naming the exact missing cells) without re-running anything — and
+//!   shape, so merging is *validation-only*: it rejects shards from
+//!   differently-shaped plans and incomplete shard sets (naming the exact
+//!   missing cells) without re-running anything — and
 //!   [`CampaignReport::canonical_text`] of a merged report is
 //!   byte-identical to an unsharded run at any worker count.
+//!
+//! Each job has one mechanism. [`run_parallel`] is the worker pool every
+//! parallel path uses (plan runs and the streamed synthetic fold).
+//! [`ShardMerger`] is the one shard-set validator: shard files
+//! ([`ShardMerger::open`], gated against the expected plan by
+//! [`ShardHeader::check_plan`]) and in-memory reports
+//! ([`CampaignReport::merge`]) are both merged and checked by it.
 //!
 //! # Example
 //!
@@ -99,7 +106,7 @@ pub use plan::{serve_requests, CampaignPlan, CellRun, Scenario};
 pub use report::{CampaignReport, MergeError, PlanShape, WallPercentiles};
 pub use shardio::{ShardCursor, ShardHeader, ShardParseError, ShardWriter};
 pub use streaming::{
-    CoordinateWalk, GroupTally, LatencyHistogram, ShardMerger, StreamMergeError,
+    CellSource, CoordinateWalk, GroupTally, LatencyHistogram, ShardMerger, StreamMergeError,
     StreamingAggregator, SyntheticSweep, QUANTILE_RELATIVE_ERROR,
 };
 

@@ -2,6 +2,8 @@
 //! and the merge operation that reassembles sharded runs.
 
 use crate::cell::{CellResult, RequestTally};
+use crate::shardio::ShardHeader;
+use crate::streaming::{CoordinateWalk, ReportCells, ShardMerger, StreamMergeError};
 use nvariant::{CacheStats, ExecutionMetrics};
 use nvariant_transform::TransformStats;
 use serde::{Deserialize, Serialize};
@@ -66,17 +68,7 @@ impl PlanShape {
     /// trusted plans, not on shapes parsed from untrusted shard files.
     #[must_use]
     pub fn coordinates(&self) -> Vec<(usize, usize, usize, usize)> {
-        let mut out = Vec::with_capacity(self.cell_count());
-        for config in 0..self.configs {
-            for world in 0..self.worlds {
-                for scenario in 0..self.scenarios {
-                    for replicate in 0..self.replicates {
-                        out.push((config, world, scenario, replicate));
-                    }
-                }
-            }
-        }
-        out
+        CoordinateWalk::new(*self).collect()
     }
 }
 
@@ -90,7 +82,9 @@ impl fmt::Display for PlanShape {
     }
 }
 
-/// Why [`CampaignReport::merge`] refused to combine shard reports.
+/// Why a shard set failed validation — in [`ShardMerger`] (which
+/// [`CampaignReport::merge`] runs on) or at the expected-plan gate
+/// ([`ShardHeader::check_plan`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum MergeError {
@@ -100,18 +94,20 @@ pub enum MergeError {
     NameMismatch(String, String),
     /// Two shards claim to come from plans with different base seeds.
     SeedMismatch(u64, u64),
-    /// Two shards agree on name and base seed but carry different plan
-    /// hashes: their plans differ somewhere on the axes (configurations,
-    /// worlds, scenarios or replicates), so their cells are not comparable.
+    /// A shard's plan hash differs from the plan the merge is gated on
+    /// (another shard's, or the expected plan's): the plans differ
+    /// somewhere on the axes (configurations, worlds, scenarios or
+    /// replicates), so their cells are not comparable.
     PlanMismatch {
-        /// Plan hash the merge started from.
+        /// Plan hash the merge is gated on.
         merged: u64,
         /// The disagreeing shard's plan hash.
         shard: u64,
     },
-    /// Two shards carry different matrix shapes (possible only for
-    /// hand-assembled reports — plan-produced shards with equal hashes
-    /// always agree on shape).
+    /// A shard declares a matrix shape (second) other than the one the
+    /// merge is gated on (first) — possible only for hand-assembled reports
+    /// or tampered headers, since plan-produced shards with equal hashes
+    /// always agree on shape.
     ShapeMismatch(PlanShape, PlanShape),
     /// Two shards both contain the cell at these canonical coordinates
     /// (config, world, scenario, replicate) — they do not partition a plan.
@@ -149,12 +145,13 @@ impl fmt::Display for MergeError {
             }
             MergeError::PlanMismatch { merged, shard } => write!(
                 f,
-                "shards come from differently shaped plans (plan hash {merged:#018x} vs \
-                 {shard:#018x}): same name and seed, but the axes differ"
+                "shards come from differently shaped plans: shard plan hash {shard:#018x} \
+                 does not match this plan ({merged:#018x})"
             ),
-            MergeError::ShapeMismatch(a, b) => {
-                write!(f, "shards disagree on the matrix shape: {a} vs {b}")
-            }
+            MergeError::ShapeMismatch(merged, shard) => write!(
+                f,
+                "shard declares matrix shape {shard} but this plan is {merged}"
+            ),
             MergeError::DuplicateCell(c, w, s, r) => write!(
                 f,
                 "cell (config {c}, world {w}, scenario {s}, replicate {r}) appears in more \
@@ -296,10 +293,12 @@ impl CampaignReport {
     /// cells are restored to canonical coordinate order, so the merged
     /// [`canonical_text`](Self::canonical_text) is byte-identical to the
     /// whole run's. Shard walls sum into `total_wall` (total compute spent),
-    /// and `workers` records the widest shard.
+    /// `workers` records the widest shard, and the `cache` counters sum.
     ///
-    /// Merging is **validation-only** — it never re-runs cells. The shards'
-    /// plan hashes gate the merge (shards from differently-shaped plans are
+    /// Merging is **validation-only** — it never re-runs cells. Each report
+    /// is fed to the [`ShardMerger`] as a sorted in-memory cell source, so
+    /// the validation is exactly the streamed merge's: the shards' plan
+    /// hashes gate the merge (shards from differently-shaped plans are
     /// rejected even when they agree on name and seed), and the merged cell
     /// set is checked against the plan's expected coordinate matrix, so an
     /// incomplete shard set (a lost or truncated worker report) fails with
@@ -313,87 +312,57 @@ impl CampaignReport {
     /// contain the same cell, a cell falls outside the plan's matrix, or
     /// the merged cells do not cover the full matrix.
     pub fn merge(shards: impl IntoIterator<Item = CampaignReport>) -> Result<Self, MergeError> {
-        let mut shards = shards.into_iter();
-        let mut merged = shards.next().ok_or(MergeError::Empty)?;
-        for shard in shards {
-            if shard.name != merged.name {
-                return Err(MergeError::NameMismatch(merged.name, shard.name));
-            }
-            if shard.base_seed != merged.base_seed {
-                return Err(MergeError::SeedMismatch(merged.base_seed, shard.base_seed));
-            }
-            if shard.plan_hash != merged.plan_hash {
-                return Err(MergeError::PlanMismatch {
-                    merged: merged.plan_hash,
-                    shard: shard.plan_hash,
-                });
-            }
-            if shard.shape != merged.shape {
-                return Err(MergeError::ShapeMismatch(merged.shape, shard.shape));
-            }
-            merged.workers = merged.workers.max(shard.workers);
-            merged.total_wall += shard.total_wall;
-            merged.cache = match (merged.cache, shard.cache) {
-                (None, None) => None,
-                (a, b) => Some(a.unwrap_or_default().merged(b.unwrap_or_default())),
-            };
-            merged.cells.extend(shard.cells);
-        }
-        merged.cells.sort_by_key(|cell| cell.spec.coordinates());
-        for pair in merged.cells.windows(2) {
-            if pair[0].spec.coordinates() == pair[1].spec.coordinates() {
-                let (c, w, s, r) = pair[0].spec.coordinates();
-                return Err(MergeError::DuplicateCell(c, w, s, r));
-            }
-        }
-        for cell in &merged.cells {
-            if !merged.shape.contains(cell.spec.coordinates()) {
-                let (c, w, s, r) = cell.spec.coordinates();
-                return Err(MergeError::UnexpectedCell(c, w, s, r));
-            }
-        }
-        // The shape reaches this point straight from shard files, so treat
-        // it as untrusted: a cell count that overflows cannot belong to any
-        // plan that ever enumerated its cells in memory.
-        let expected = merged
-            .shape
-            .checked_cell_count()
-            .ok_or(MergeError::ImplausibleShape(merged.shape))?;
-        // Cells are deduplicated and verified in-shape, so coverage reduces
-        // to a count: the matrix is covered iff every expected coordinate
-        // has a cell. On failure, walk the canonical coordinate order in
-        // lockstep with the sorted cells to name the gaps — lazily and
-        // capped, so even an absurd declared shape costs at most
-        // cells + cap iterations and a tiny allocation.
-        if merged.cells.len() != expected {
-            const CAP: usize = 64;
-            let mut cells = merged.cells.iter().map(|cell| cell.spec.coordinates());
-            let mut next = cells.next();
-            let mut missing = Vec::new();
-            'matrix: for config in 0..merged.shape.configs {
-                for world in 0..merged.shape.worlds {
-                    for scenario in 0..merged.shape.scenarios {
-                        for replicate in 0..merged.shape.replicates {
-                            let coordinate = (config, world, scenario, replicate);
-                            if next == Some(coordinate) {
-                                next = cells.next();
-                            } else {
-                                missing.push(coordinate);
-                                if missing.len() == CAP {
-                                    break 'matrix;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            return Err(MergeError::MissingCells {
-                missing,
-                covered: merged.cells.len(),
-                expected,
-            });
-        }
+        let mut cache: Option<CacheStats> = None;
+        let sources: Vec<ReportCells> = shards
+            .into_iter()
+            .map(|shard| {
+                cache = cache
+                    .into_iter()
+                    .chain(shard.cache)
+                    .reduce(CacheStats::merged);
+                ReportCells::from(shard)
+            })
+            .collect();
+        let mut merged = ShardMerger::new(sources)
+            .and_then(ShardMerger::into_report)
+            .map_err(|error| match error {
+                StreamMergeError::Merge(error) => error,
+                other => unreachable!(
+                    "in-memory reports neither fail to parse nor face a plan gate: {other}"
+                ),
+            })?;
+        merged.cache = cache;
         Ok(merged)
+    }
+
+    /// A report of `cells` under a shard header's identity and metadata
+    /// (no cache counters: the shard format does not carry them).
+    #[must_use]
+    pub fn from_header(header: ShardHeader, cells: Vec<CellResult>) -> Self {
+        let ShardHeader {
+            name,
+            base_seed,
+            plan_hash,
+            shape,
+            workers,
+            total_wall,
+        } = header;
+        CampaignReport::new(
+            name, base_seed, plan_hash, shape, workers, cells, total_wall,
+        )
+    }
+
+    /// The report's shard header: its plan identity and run metadata.
+    #[must_use]
+    pub fn shard_header(&self) -> ShardHeader {
+        ShardHeader {
+            name: self.name.clone(),
+            base_seed: self.base_seed,
+            plan_hash: self.plan_hash,
+            shape: self.shape,
+            workers: self.workers,
+            total_wall: self.total_wall,
+        }
     }
 
     /// Fraction of cells in which the monitor raised an alarm.

@@ -14,7 +14,7 @@
 
 use crate::cell::{CellOutcome, CellResult, CellSpec, CellVerdict, CheckSummary};
 use crate::exchange::ServedRequest;
-use crate::report::{CampaignReport, PlanShape};
+use crate::report::{CampaignReport, MergeError, PlanShape};
 use nvariant::ExecutionMetrics;
 use nvariant_transform::TransformStats;
 use nvariant_types::hex::{hex_decode, hex_encode};
@@ -228,14 +228,7 @@ impl CampaignReport {
     /// Serializes the report to the shard interchange text format.
     #[must_use]
     pub fn to_shard_text(&self) -> String {
-        let header = ShardHeader {
-            name: self.name.clone(),
-            base_seed: self.base_seed,
-            plan_hash: self.plan_hash,
-            shape: self.shape,
-            workers: self.workers,
-            total_wall: self.total_wall,
-        };
+        let header = self.shard_header();
         let mut writer =
             ShardWriter::new(Vec::new(), &header).expect("writing to a Vec cannot fail");
         for cell in &self.cells {
@@ -263,16 +256,7 @@ impl CampaignReport {
         while let Some(cell) = cursor.next_cell()? {
             cells.push(cell);
         }
-        let header = cursor.into_header();
-        Ok(CampaignReport::new(
-            header.name,
-            header.base_seed,
-            header.plan_hash,
-            header.shape,
-            header.workers,
-            cells,
-            header.total_wall,
-        ))
+        Ok(CampaignReport::from_header(cursor.into_header(), cells))
     }
 }
 
@@ -294,6 +278,30 @@ pub struct ShardHeader {
     pub workers: usize,
     /// Wall-clock time of the producing run.
     pub total_wall: Duration,
+}
+
+impl ShardHeader {
+    /// The expected-plan gate: whether this shard belongs to the plan with
+    /// `plan_hash` and `shape`. The shape is checked as well as the hash
+    /// because coverage is validated against the *declared* shape — a
+    /// tampered shape line could otherwise shrink the expected matrix and
+    /// pass a subset off as complete.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MergeError::PlanMismatch`] or [`MergeError::ShapeMismatch`].
+    pub fn check_plan(&self, plan_hash: u64, shape: PlanShape) -> Result<(), MergeError> {
+        if self.plan_hash != plan_hash {
+            return Err(MergeError::PlanMismatch {
+                merged: plan_hash,
+                shard: self.plan_hash,
+            });
+        }
+        if self.shape != shape {
+            return Err(MergeError::ShapeMismatch(shape, self.shape));
+        }
+        Ok(())
+    }
 }
 
 /// A streaming reader over the shard interchange format: parses the header

@@ -19,24 +19,27 @@
 //!   [`render_surface`](StreamingAggregator::render_surface) emits the
 //!   attack-success-probability surface: per config × world × attack,
 //!   success and detection rates with Wilson 95% intervals.
-//! * [`ShardMerger`] — a k-way merge over coordinate-sorted
-//!   [`ShardCursor`]s with the same plan-hash gate and
-//!   duplicate/missing/unexpected-cell validation as
-//!   [`CampaignReport::merge`], holding at most one cell per shard in
-//!   memory.
+//! * [`ShardMerger`] — the one shard-set validator: a k-way merge over
+//!   coordinate-sorted [`CellSource`]s (shard files through
+//!   [`ShardCursor`], in-memory reports for [`CampaignReport::merge`]) that
+//!   gates plan identity and detects duplicate, unexpected and missing
+//!   cells, holding at most one cell per source in memory.
 //! * [`SyntheticSweep`] — a judged synthetic cell generator (no VM, no
 //!   HTTP) that scales the *pipeline* to millions of cells, so CI can pin
 //!   the constant-memory property under an address-space cap.
 
 use crate::cell::{CellOutcome, CellResult, CellSpec, CellVerdict, RequestTally};
-use crate::engine::cell_seed;
+use crate::engine::{cell_seed, run_parallel};
 use crate::report::{CampaignReport, MergeError, PlanShape, WallPercentiles};
 use crate::shardio::{ShardCursor, ShardHeader, ShardParseError};
 use nvariant::{CacheStats, ExecutionMetrics};
 use nvariant_types::fnv1a_64;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::io::BufRead;
+use std::fs::File;
+use std::io::{BufRead, BufReader};
+use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 /// Sub-bucket resolution of [`LatencyHistogram`]: 2^6 = 64 sub-buckets per
@@ -298,11 +301,6 @@ impl StreamingAggregator {
         self.workers = workers;
     }
 
-    /// Sets the run wall-clock reported in the summary.
-    pub fn set_total_wall(&mut self, total_wall: Duration) {
-        self.total_wall = total_wall;
-    }
-
     /// Adds to the run wall-clock (shard walls sum under a merge).
     pub fn add_wall(&mut self, wall: Duration) {
         self.total_wall += wall;
@@ -417,10 +415,11 @@ impl StreamingAggregator {
         );
         self.workers = self.workers.max(other.workers);
         self.total_wall += other.total_wall;
-        self.cache = match (self.cache, other.cache) {
-            (None, None) => None,
-            (a, b) => Some(a.unwrap_or_default().merged(b.unwrap_or_default())),
-        };
+        self.cache = self
+            .cache
+            .into_iter()
+            .chain(other.cache)
+            .reduce(CacheStats::merged);
         self.cells += other.cells;
         self.survived += other.survived;
         self.detected += other.detected;
@@ -556,14 +555,7 @@ impl CampaignReport {
     /// materialized summary and surface are rendered *through* it.
     #[must_use]
     pub fn fold_aggregator(&self) -> StreamingAggregator {
-        let mut aggregator = StreamingAggregator::new(
-            self.name.clone(),
-            self.base_seed,
-            self.plan_hash,
-            self.shape,
-        );
-        aggregator.set_workers(self.workers);
-        aggregator.set_total_wall(self.total_wall);
+        let mut aggregator = StreamingAggregator::from_header(&self.shard_header());
         aggregator.set_cache(self.cache);
         for cell in &self.cells {
             aggregator.absorb(cell);
@@ -579,16 +571,24 @@ impl CampaignReport {
     }
 }
 
-/// Why a streaming merge failed: a shard failed to parse, or the shard set
-/// failed the same validation [`CampaignReport::merge`] performs.
+/// Why a streaming merge failed: a shard failed to parse, a shard belongs
+/// to another plan, or the shard set failed merge validation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum StreamMergeError {
     /// A shard's cursor hit malformed input or an I/O failure.
     Shard {
-        /// Index of the failing shard in the cursor list.
+        /// Index of the failing shard in the source list.
         shard: usize,
         /// The underlying parse error.
         error: ShardParseError,
+    },
+    /// A shard file failed the expected-plan gate of
+    /// [`ShardMerger::open`] ([`ShardHeader::check_plan`]).
+    Foreign {
+        /// Index of the foreign shard in the path list.
+        shard: usize,
+        /// The gate's verdict.
+        error: MergeError,
     },
     /// The shard set failed merge validation.
     Merge(MergeError),
@@ -597,9 +597,8 @@ pub enum StreamMergeError {
 impl fmt::Display for StreamMergeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            StreamMergeError::Shard { shard, error } => {
-                write!(f, "shard {shard}: {error}")
-            }
+            StreamMergeError::Shard { shard, error } => write!(f, "shard {shard}: {error}"),
+            StreamMergeError::Foreign { shard, error } => write!(f, "shard {shard}: {error}"),
             StreamMergeError::Merge(error) => error.fmt(f),
         }
     }
@@ -661,21 +660,74 @@ impl Iterator for CoordinateWalk {
     }
 }
 
-/// Cap on the missing-coordinate listing, matching
-/// [`CampaignReport::merge`].
+/// Cap on the missing-coordinate listing of [`MergeError::MissingCells`].
 const MISSING_CAP: usize = 64;
 
-/// An incremental, plan-hash-gated k-way merge over coordinate-sorted
-/// shard cursors.
+/// A coordinate-sorted stream of cells under one shard header — what
+/// [`ShardMerger`] merges. [`ShardCursor`] decodes one from a shard file;
+/// [`CampaignReport::merge`] feeds each report's cells in memory.
+pub trait CellSource {
+    /// The shard's plan identity and run metadata.
+    fn header(&self) -> &ShardHeader;
+
+    /// The next cell in canonical coordinate order, or `None` when the
+    /// source is drained.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ShardParseError`] when an encoded source is malformed.
+    fn next_cell(&mut self) -> Result<Option<CellResult>, ShardParseError>;
+}
+
+impl<R: BufRead> CellSource for ShardCursor<R> {
+    fn header(&self) -> &ShardHeader {
+        ShardCursor::header(self)
+    }
+
+    fn next_cell(&mut self) -> Result<Option<CellResult>, ShardParseError> {
+        ShardCursor::next_cell(self)
+    }
+}
+
+/// A report's cells as a [`CellSource`]: sorted into canonical order once,
+/// then handed out by value — no text round trip, no per-cell boxing.
+pub(crate) struct ReportCells {
+    header: ShardHeader,
+    cells: std::vec::IntoIter<CellResult>,
+}
+
+impl From<CampaignReport> for ReportCells {
+    fn from(mut report: CampaignReport) -> Self {
+        report.cells.sort_by_key(|cell| cell.spec.coordinates());
+        ReportCells {
+            header: report.shard_header(),
+            cells: report.cells.into_iter(),
+        }
+    }
+}
+
+impl CellSource for ReportCells {
+    fn header(&self) -> &ShardHeader {
+        &self.header
+    }
+
+    fn next_cell(&mut self) -> Result<Option<CellResult>, ShardParseError> {
+        Ok(self.cells.next())
+    }
+}
+
+/// The shard-set validator: an incremental, plan-hash-gated k-way merge
+/// over coordinate-sorted [`CellSource`]s, and the only code that decides
+/// whether a set of shards reassembles a plan.
 ///
-/// Construction gates the headers exactly like [`CampaignReport::merge`]
-/// (name, base seed, plan hash, shape, shape plausibility); each
+/// Construction gates the headers against each other (name, base seed,
+/// plan hash, shape, shape plausibility); each
 /// [`next_cell`](ShardMerger::next_cell) yields the next cell in canonical
 /// order while detecting duplicate, unexpected and missing cells on the
-/// fly. Peak memory is one buffered cell per shard, independent of shard
+/// fly. Peak memory is one buffered cell per source, independent of shard
 /// size.
-pub struct ShardMerger<R> {
-    cursors: Vec<ShardCursor<R>>,
+pub struct ShardMerger<S> {
+    sources: Vec<S>,
     heads: Vec<Option<CellResult>>,
     expected: CoordinateWalk,
     header: ShardHeader,
@@ -685,20 +737,49 @@ pub struct ShardMerger<R> {
     finished: bool,
 }
 
-impl<R: BufRead> ShardMerger<R> {
-    /// Gates the cursors' headers against each other and buffers the first
-    /// cell of each shard.
+impl ShardMerger<ShardCursor<BufReader<File>>> {
+    /// Opens shard files, gates each one against the expected plan
+    /// ([`ShardHeader::check_plan`]) before any cell is read, and starts
+    /// the merge over them.
     ///
     /// # Errors
     ///
-    /// Returns a [`StreamMergeError`] if no cursors are supplied, the
+    /// Returns [`StreamMergeError::Shard`] for an unreadable file,
+    /// [`StreamMergeError::Foreign`] for a shard of another plan, and
+    /// whatever [`new`](Self::new) rejects.
+    pub fn open<P: AsRef<Path>>(
+        paths: &[P],
+        plan_hash: u64,
+        shape: PlanShape,
+    ) -> Result<Self, StreamMergeError> {
+        let mut cursors = Vec::with_capacity(paths.len());
+        for (shard, path) in paths.iter().enumerate() {
+            let cursor = ShardCursor::open(path.as_ref())
+                .map_err(|error| StreamMergeError::Shard { shard, error })?;
+            cursor
+                .header()
+                .check_plan(plan_hash, shape)
+                .map_err(|error| StreamMergeError::Foreign { shard, error })?;
+            cursors.push(cursor);
+        }
+        Self::new(cursors)
+    }
+}
+
+impl<S: CellSource> ShardMerger<S> {
+    /// Gates the sources' headers against each other and buffers the first
+    /// cell of each.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`StreamMergeError`] if no sources are supplied, the
     /// headers disagree on plan identity, the declared shape's cell count
     /// overflows, or a first cell fails to parse.
-    pub fn new(cursors: Vec<ShardCursor<R>>) -> Result<Self, StreamMergeError> {
-        let first = cursors.first().ok_or(MergeError::Empty)?;
+    pub fn new(sources: Vec<S>) -> Result<Self, StreamMergeError> {
+        let first = sources.first().ok_or(MergeError::Empty)?;
         let mut header = first.header().clone();
-        for cursor in &cursors[1..] {
-            let shard = cursor.header();
+        for source in &sources[1..] {
+            let shard = source.header();
             if shard.name != header.name {
                 return Err(MergeError::NameMismatch(header.name, shard.name.clone()).into());
             }
@@ -718,21 +799,24 @@ impl<R: BufRead> ShardMerger<R> {
             header.workers = header.workers.max(shard.workers);
             header.total_wall += shard.total_wall;
         }
+        // The shape may come straight from a shard file, so treat it as
+        // untrusted: a cell count that overflows cannot belong to any plan
+        // that ever enumerated its cells in memory.
         let expected_count = header
             .shape
             .checked_cell_count()
             .ok_or(MergeError::ImplausibleShape(header.shape))?;
         let mut merger = ShardMerger {
-            heads: Vec::with_capacity(cursors.len()),
+            heads: Vec::with_capacity(sources.len()),
             expected: CoordinateWalk::new(header.shape),
             header,
             covered: 0,
             expected_count,
             missing: Vec::new(),
             finished: false,
-            cursors,
+            sources,
         };
-        for index in 0..merger.cursors.len() {
+        for index in 0..merger.sources.len() {
             let head = merger.advance_shard(index)?;
             merger.heads.push(head);
         }
@@ -746,14 +830,8 @@ impl<R: BufRead> ShardMerger<R> {
         &self.header
     }
 
-    /// Cells emitted so far.
-    #[must_use]
-    pub fn covered(&self) -> usize {
-        self.covered
-    }
-
     fn advance_shard(&mut self, index: usize) -> Result<Option<CellResult>, StreamMergeError> {
-        self.cursors[index]
+        self.sources[index]
             .next_cell()
             .map_err(|error| StreamMergeError::Shard {
                 shard: index,
@@ -765,8 +843,8 @@ impl<R: BufRead> ShardMerger<R> {
     /// every shard is drained and the plan's matrix is fully covered.
     ///
     /// Gap detection is deferred to exhaustion (so the error can report the
-    /// exact covered/expected counts, like the materialized merge), but
-    /// duplicates and out-of-matrix cells fail as soon as they surface.
+    /// exact covered/expected counts), but duplicates and out-of-matrix
+    /// cells fail as soon as they surface.
     ///
     /// # Errors
     ///
@@ -856,6 +934,20 @@ impl<R: BufRead> ShardMerger<R> {
             std::mem::replace(&mut self.heads[index], next_head).expect("selected head is present");
         self.covered += 1;
         Ok(Some(cell))
+    }
+
+    /// Drains the merge into a report with the merged header — the end of
+    /// the merge for callers that need the cells themselves.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`StreamMergeError`] the drain hits.
+    pub fn into_report(mut self) -> Result<CampaignReport, StreamMergeError> {
+        let mut cells = Vec::new();
+        while let Some(cell) = self.next_cell()? {
+            cells.push(cell);
+        }
+        Ok(CampaignReport::from_header(self.header, cells))
     }
 }
 
@@ -1030,65 +1122,45 @@ impl SyntheticSweep {
         }
     }
 
-    /// Runs the sweep through the streaming fold: workers claim linear
-    /// indices in batches, fold cells into thread-local aggregators, and
-    /// the locals merge — peak memory is O(workers × aggregator), however
-    /// many cells the sweep has. `total_wall` is the sum of the synthetic
-    /// per-cell walls, so the summary is deterministic.
+    /// Runs the sweep through the streaming fold: each worker of the pool
+    /// ([`run_parallel`], one item per worker) claims linear indices in
+    /// batches from a shared cursor, folds its cells into a local
+    /// aggregator and returns it; the locals then merge — peak memory is
+    /// O(workers × aggregator), however many cells the sweep has.
+    /// `total_wall` is the sum of the synthetic per-cell walls, so the
+    /// summary is deterministic.
     #[must_use]
     pub fn run_streamed(&self, workers: usize) -> StreamingAggregator {
         const BATCH: usize = 1024;
         let total = self.cell_count();
         let workers = workers.clamp(1, total.max(1));
-        let make_aggregator = || {
-            StreamingAggregator::new(
+        let cursor = AtomicUsize::new(0);
+        let locals = run_parallel(vec![(); workers], workers, |_, ()| {
+            let mut local = StreamingAggregator::new(
                 self.name.clone(),
                 self.base_seed,
                 self.plan_hash(),
                 self.shape,
-            )
-        };
-        if workers <= 1 {
-            let mut aggregator = make_aggregator();
-            for linear in 0..total {
-                let cell = self.cell(linear);
-                aggregator.add_wall(cell.wall);
-                aggregator.absorb(&cell);
-            }
-            return aggregator;
-        }
-        let cursor = std::sync::atomic::AtomicUsize::new(0);
-        let mut locals: Vec<StreamingAggregator> = Vec::with_capacity(workers);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let cursor = &cursor;
-                    scope.spawn(move || {
-                        let mut local = make_aggregator();
-                        loop {
-                            let start =
-                                cursor.fetch_add(BATCH, std::sync::atomic::Ordering::Relaxed);
-                            if start >= total {
-                                break;
-                            }
-                            for linear in start..(start + BATCH).min(total) {
-                                let cell = self.cell(linear);
-                                local.add_wall(cell.wall);
-                                local.absorb(&cell);
-                            }
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for handle in handles {
-                locals.push(handle.join().expect("synthetic worker panicked"));
+            );
+            loop {
+                let start = cursor.fetch_add(BATCH, Ordering::Relaxed);
+                if start >= total {
+                    break local;
+                }
+                for linear in start..(start + BATCH).min(total) {
+                    let cell = self.cell(linear);
+                    local.add_wall(cell.wall);
+                    local.absorb(&cell);
+                }
             }
         });
-        let mut merged = locals.pop().expect("at least one worker");
-        for local in &locals {
-            merged.merge(local);
-        }
+        let mut merged = locals
+            .into_iter()
+            .reduce(|mut merged, local| {
+                merged.merge(&local);
+                merged
+            })
+            .expect("at least one worker");
         merged.set_workers(workers);
         merged
     }
@@ -1102,7 +1174,7 @@ impl SyntheticSweep {
     pub fn run_materialized(&self, workers: usize) -> CampaignReport {
         let total = self.cell_count();
         let indices: Vec<usize> = (0..total).collect();
-        let cells = crate::engine::run_parallel(indices, workers, |_, linear| self.cell(linear));
+        let cells = run_parallel(indices, workers, |_, linear| self.cell(linear));
         let total_wall = cells.iter().map(|c| c.wall).sum();
         CampaignReport::new(
             self.name.clone(),

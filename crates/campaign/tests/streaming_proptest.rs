@@ -1,12 +1,14 @@
 //! Property tests for the streaming result path: over arbitrary cell
 //! permutations and arbitrary shard splits, the streamed fold renders the
-//! same summary and surface bytes as the materialized path, the latency
-//! sketch's merge is associative and commutative, and its quantiles stay
-//! within the documented relative error of the exact nearest-rank values.
+//! same summary and surface bytes as the materialized path, the report
+//! merge and the cursor merge agree on every split and reject seeded
+//! defects with the identical error, the latency sketch's merge is
+//! associative and commutative, and its quantiles stay within the
+//! documented relative error of the exact nearest-rank values.
 
 use nvariant_campaign::{
-    CampaignReport, LatencyHistogram, ShardCursor, ShardMerger, StreamingAggregator,
-    SyntheticSweep, QUANTILE_RELATIVE_ERROR,
+    CampaignReport, LatencyHistogram, MergeError, ShardCursor, ShardMerger, StreamMergeError,
+    StreamingAggregator, SyntheticSweep, QUANTILE_RELATIVE_ERROR,
 };
 use proptest::prelude::*;
 use std::time::Duration;
@@ -35,6 +37,23 @@ fn derived_values(seed: u64, len: usize, max: u64) -> Vec<u64> {
             (state >> 11) % max + 1
         })
         .collect()
+}
+
+/// Drains a k-way cursor merge over the reports' interchange texts,
+/// returning the validation failure the merge hit, if any.
+fn cursor_merge(reports: &[CampaignReport]) -> Result<(), MergeError> {
+    let texts: Vec<String> = reports.iter().map(CampaignReport::to_shard_text).collect();
+    let cursors: Vec<_> = texts
+        .iter()
+        .map(|text| ShardCursor::new(text.as_bytes()).expect("own shard text parses"))
+        .collect();
+    let validation = |error: StreamMergeError| match error {
+        StreamMergeError::Merge(error) => error,
+        other => panic!("not a validation failure: {other}"),
+    };
+    let mut merger = ShardMerger::new(cursors).map_err(validation)?;
+    while merger.next_cell().map_err(validation)?.is_some() {}
+    Ok(())
 }
 
 proptest! {
@@ -95,7 +114,7 @@ proptest! {
             let shard = (assigned - 1) as usize;
             shard_cells[shard].push(sweep.cell(linear));
         }
-        let shard_texts: Vec<String> = shard_cells
+        let shard_reports: Vec<CampaignReport> = shard_cells
             .into_iter()
             .map(|cells| {
                 let wall = cells.iter().map(|c| c.wall).sum();
@@ -108,9 +127,10 @@ proptest! {
                     cells,
                     wall,
                 )
-                .to_shard_text()
             })
             .collect();
+        let shard_texts: Vec<String> =
+            shard_reports.iter().map(CampaignReport::to_shard_text).collect();
         let cursors: Vec<_> = shard_texts
             .iter()
             .map(|text| ShardCursor::new(text.as_bytes()).expect("own shard text parses"))
@@ -124,6 +144,80 @@ proptest! {
         let report = materialized(&sweep);
         prop_assert_eq!(aggregator.render_summary(), report.render_summary());
         prop_assert_eq!(aggregator.render_surface(), report.render_surface());
+
+        // The in-memory report merge reassembles the same bytes, from any
+        // order of cells within a report.
+        let reversed = shard_reports.iter().cloned().map(|mut shard| {
+            shard.cells.reverse();
+            shard
+        });
+        let merged = CampaignReport::merge(reversed).expect("own shards merge");
+        prop_assert_eq!(merged.canonical_text(), report.canonical_text());
+        prop_assert_eq!(merged.render_summary(), report.render_summary());
+
+        // Seeded defects around one victim cell: both merge entry points
+        // must reject each with the identical error.
+        #[allow(clippy::cast_possible_truncation)]
+        let victim = (assignment_seed >> 17) as usize % total;
+        #[allow(clippy::cast_possible_truncation)]
+        let home = (assignment[victim] - 1) as usize;
+        let coords = sweep.coordinates(victim);
+        let position = |report: &CampaignReport| {
+            report
+                .cells
+                .iter()
+                .position(|cell| cell.spec.coordinates() == coords)
+                .expect("the victim lives in its home shard")
+        };
+        let (c, w, s, r) = coords;
+
+        let mut dropped = shard_reports.clone();
+        let at = position(&dropped[home]);
+        dropped[home].cells.remove(at);
+
+        let mut duplicated = shard_reports.clone();
+        let twin = (home + 1) % shards;
+        duplicated[twin].cells.push(sweep.cell(victim));
+        duplicated[twin].cells.sort_by_key(|cell| cell.spec.coordinates());
+
+        let mut foreign = shard_reports.clone();
+        foreign[home].plan_hash ^= 1;
+
+        let mut outside = shard_reports.clone();
+        let at = position(&outside[home]);
+        outside[home].cells[at].spec.replicate = sweep.shape.replicates;
+
+        let hash = sweep.plan_hash();
+        let (merged_hash, shard_hash) = if home == 0 { (hash ^ 1, hash) } else { (hash, hash ^ 1) };
+        let cases = [
+            (
+                dropped,
+                MergeError::MissingCells {
+                    missing: vec![coords],
+                    covered: total - 1,
+                    expected: total,
+                },
+            ),
+            (duplicated, MergeError::DuplicateCell(c, w, s, r)),
+            (
+                foreign,
+                MergeError::PlanMismatch {
+                    merged: merged_hash,
+                    shard: shard_hash,
+                },
+            ),
+            (
+                outside,
+                MergeError::UnexpectedCell(c, w, s, sweep.shape.replicates),
+            ),
+        ];
+        for (defective, expected) in cases {
+            prop_assert_eq!(
+                CampaignReport::merge(defective.clone()).err(),
+                Some(expected.clone())
+            );
+            prop_assert_eq!(cursor_merge(&defective).err(), Some(expected));
+        }
     }
 
     /// Histogram merge is exact: associative, commutative, and equal to

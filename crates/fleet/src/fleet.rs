@@ -15,6 +15,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use nvariant_campaign::{
@@ -383,8 +384,14 @@ pub struct Fleet<'plan> {
     worker_bin: PathBuf,
     worker_args: Vec<String>,
     scratch_dir: PathBuf,
+    /// Keeps this fleet's spool files apart from those of other fleets
+    /// sharing the scratch directory.
+    instance: usize,
     progress: Box<dyn Fn(&str)>,
 }
+
+/// Fleets created so far in this process (see [`Fleet::spool_path`]).
+static FLEETS: AtomicUsize = AtomicUsize::new(0);
 
 impl<'plan> Fleet<'plan> {
     /// A fleet over `plan`, spawning `worker_bin` through `transport`,
@@ -406,6 +413,7 @@ impl<'plan> Fleet<'plan> {
             worker_bin,
             worker_args: Vec::new(),
             scratch_dir,
+            instance: FLEETS.fetch_add(1, Ordering::Relaxed),
             progress: Box::new(|_| {}),
         }
     }
@@ -516,50 +524,24 @@ impl<'plan> Fleet<'plan> {
                     .expect("loop exits only when every shard is collected")
             })
             .collect();
-        let cache = collected.iter().fold(None::<CacheStats>, |merged, shard| {
-            match (merged, shard.cache) {
-                (None, None) => None,
-                (a, b) => Some(a.unwrap_or_default().merged(b.unwrap_or_default())),
-            }
-        });
+        let cache = collected
+            .iter()
+            .filter_map(|shard| shard.cache)
+            .reduce(CacheStats::merged);
         // The final merge streams: a k-way merge over the validated spool
         // files holds one buffered cell per shard while re-validating
         // coverage, duplicates and plan identity.
-        let mut cursors = Vec::with_capacity(collected.len());
-        for (index, shard) in collected.iter().enumerate() {
-            match ShardCursor::open(&shard.spool) {
-                Ok(cursor) => cursors.push(cursor),
-                Err(error) => {
-                    return Err(Self::merge_error(StreamMergeError::Shard {
-                        shard: index,
-                        error,
-                    }))
-                }
-            }
-        }
-        let mut merger = match ShardMerger::new(cursors) {
-            Ok(merger) => merger,
-            Err(error) => return Err(Self::merge_error(error)),
-        };
-        let mut cells = Vec::with_capacity(collected.iter().map(|s| s.cells).sum());
-        loop {
-            match merger.next_cell() {
-                Ok(Some(cell)) => cells.push(cell),
-                Ok(None) => break,
-                Err(error) => return Err(Self::merge_error(error)),
-            }
-        }
-        let header = merger.header();
-        let mut report = CampaignReport::new(
-            header.name.clone(),
-            header.base_seed,
-            header.plan_hash,
-            header.shape,
-            header.workers,
-            cells,
-            header.total_wall,
-        );
+        let spools: Vec<&Path> = collected
+            .iter()
+            .map(|shard| shard.spool.as_path())
+            .collect();
+        let mut report = ShardMerger::open(&spools, self.plan.plan_hash(), self.plan.shape())
+            .and_then(ShardMerger::into_report)
+            .map_err(Self::merge_error)?;
         report.cache = cache;
+        for spool in spools {
+            let _ = std::fs::remove_file(spool);
+        }
         Ok(FleetRun {
             report,
             hosts: pool.into_stats(),
@@ -576,7 +558,9 @@ impl<'plan> Fleet<'plan> {
     /// shard's failure.
     fn merge_error(error: StreamMergeError) -> FleetError {
         match error {
-            StreamMergeError::Merge(error) => FleetError::Merge(error),
+            StreamMergeError::Merge(error) | StreamMergeError::Foreign { error, .. } => {
+                FleetError::Merge(error)
+            }
             StreamMergeError::Shard { shard, error } => FleetError::Exhausted {
                 shard,
                 attempts: 1,
@@ -761,10 +745,16 @@ impl<'plan> Fleet<'plan> {
     }
 
     /// The spool file a shard's validated interchange text lives in between
-    /// collection and the streaming final merge.
+    /// collection and the streaming final merge. The name is unique to this
+    /// fleet (process id and instance), so coordinators sharing a scratch
+    /// directory never merge each other's spools.
     fn spool_path(&self, shard: usize) -> PathBuf {
-        self.scratch_dir
-            .join(format!("spool-shard-{shard}-of-{}.txt", self.config.shards))
+        self.scratch_dir.join(format!(
+            "spool-{}-{}-shard-{shard}-of-{}.txt",
+            std::process::id(),
+            self.instance,
+            self.config.shards
+        ))
     }
 
     /// Streams the worker's shard file to the shard's spool path —
@@ -819,23 +809,14 @@ impl<'plan> Fleet<'plan> {
         let retry = |message: String| CollectFailure::Retry(message);
         let parse_failed = |error: &dyn fmt::Display| retry(format!("shard file: {error}"));
         let mut cursor = ShardCursor::open(spool).map_err(|e| parse_failed(&e))?;
-        if cursor.header().plan_hash != self.plan.plan_hash() {
-            return Err(retry(format!(
-                "shard plan hash {:#018x} does not match coordinator plan {:#018x}",
-                cursor.header().plan_hash,
-                self.plan.plan_hash()
-            )));
-        }
-        // A corrupt or tampered shape header is an unusable file like any
-        // other: count it against the attempt cap here instead of letting
-        // it abort the whole campaign at the final merge.
-        if cursor.header().shape != self.plan.shape() {
-            return Err(retry(format!(
-                "shard declares matrix shape {} but the coordinator plan is {}",
-                cursor.header().shape,
-                self.plan.shape()
-            )));
-        }
+        // A foreign plan hash or a corrupt or tampered shape header is an
+        // unusable file like any other: count it against the attempt cap
+        // here instead of letting it abort the whole campaign at the final
+        // merge.
+        cursor
+            .header()
+            .check_plan(self.plan.plan_hash(), self.plan.shape())
+            .map_err(|e| retry(e.to_string()))?;
         let total = self.plan.shape().cell_count();
         let expected_total = if shard < total {
             (total - shard).div_ceil(self.config.shards)
