@@ -10,7 +10,7 @@ use crate::property::Property;
 use crate::trace::{Action, Counterexample, TraceStep};
 use nvariant_monitor::{NVariantMonitor, StepEvent};
 use nvariant_simos::Sysno;
-use nvariant_types::{Fnv1a, VariantId, Word};
+use nvariant_types::{StateHasher, VariantId, Word};
 use std::collections::HashMap;
 
 /// Deploys the target into its world and stages the benign workload,
@@ -162,7 +162,7 @@ struct Explorer<'a> {
 
 impl Explorer<'_> {
     fn visit_key(monitor: &NVariantMonitor, corrupted: bool) -> u64 {
-        let mut digest = Fnv1a::new();
+        let mut digest = StateHasher::new();
         digest.write_u64(monitor.state_digest());
         digest.write_u8(u8::from(corrupted));
         digest.finish()
@@ -188,6 +188,7 @@ impl Explorer<'_> {
         };
         for &corrupt in corrupt_options {
             // The uncapped schedule first, then each configured chunk cap.
+            let mut uncapped_sysno = None;
             for cap_index in 0..=self.request.recv_chunks.len() {
                 if self.stats.truncated {
                     return None;
@@ -199,13 +200,20 @@ impl Explorer<'_> {
                 let recv_cap = cap_index
                     .checked_sub(1)
                     .map(|i| self.request.recv_chunks[i]);
+                // A cap only limits what a `recv` delivers, never which
+                // syscall the variants trap on (pinned by
+                // `receive_caps_never_change_the_trapped_syscall` in
+                // tests/model_checking.rs), so a capped sibling of a step
+                // that did not reach `recv` would duplicate the uncapped
+                // branch: skip it without stepping or counting it.
+                if recv_cap.is_some() && uncapped_sysno != Some(Sysno::Recv) {
+                    continue;
+                }
                 let action = Action { corrupt, recv_cap };
                 let mut child = monitor.clone();
                 let event = apply_step(&mut child, self.target, action);
-                // A cap on a step that did not reach a `recv` duplicates the
-                // uncapped branch: skip it without counting it as a state.
-                if recv_cap.is_some() && child.last_sysno() != Some(Sysno::Recv) {
-                    continue;
+                if recv_cap.is_none() {
+                    uncapped_sysno = child.last_sysno();
                 }
                 self.stats.states_visited += 1;
                 let depth_here = trace.len() + 1;

@@ -7,7 +7,7 @@
 //! variant's copy of the file). Variants only ever see the virtual slot
 //! number.
 
-use nvariant_types::{Errno, Fd, Fnv1a};
+use nvariant_types::{Errno, Fd, StateHasher};
 use serde::{Deserialize, Serialize};
 
 /// A virtual descriptor as seen by the variants.
@@ -158,7 +158,7 @@ impl VirtualFdTable {
 
     /// Folds the table's full state into `digest` (used by the model
     /// checker's visited-state pruning).
-    pub fn digest_into(&self, digest: &mut Fnv1a) {
+    pub fn digest_into(&self, digest: &mut StateHasher) {
         digest.write_usize(self.variants);
         digest.write_usize(self.slots.len());
         for slot in &self.slots {

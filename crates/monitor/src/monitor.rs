@@ -7,7 +7,7 @@ use crate::fdtable::VirtualFdTable;
 use crate::metrics::MonitorMetrics;
 use nvariant_diversity::{Canonicalizer, DataClass, VariantSet};
 use nvariant_simos::{OpenFlags, OsKernel, SyscallRequest, Sysno};
-use nvariant_types::{Errno, Fd, Fnv1a, Gid, Pid, Port, Uid, VariantId, Word};
+use nvariant_types::{Errno, Fd, Gid, Pid, Port, StateHasher, Uid, VariantId, Word};
 use nvariant_vm::{Fault, Process, TrapReason};
 use serde::{Deserialize, Serialize};
 
@@ -239,7 +239,7 @@ impl NVariantMonitor {
     /// behaviourally identical but were reached by different paths.
     #[must_use]
     pub fn state_digest(&self) -> u64 {
-        let mut digest = Fnv1a::new();
+        let mut digest = StateHasher::new();
         self.kernel.digest_into(&mut digest);
         digest.write_u32(self.group_pid.as_u32());
         digest.write_usize(self.variants.len());

@@ -6,7 +6,7 @@
 //! checked against the effective UID of the calling process.
 
 use crate::cred::Credentials;
-use nvariant_types::{Errno, Fnv1a, Gid, Uid};
+use nvariant_types::{Errno, Gid, StateHasher, Uid};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -516,12 +516,11 @@ impl FileSystem {
     /// `BTreeMap`/`BTreeSet` iteration order makes the digest canonical:
     /// two equal filesystems always fold identically, which is what the
     /// model checker's visited-state pruning relies on.
-    pub fn digest_into(&self, digest: &mut Fnv1a) {
+    pub fn digest_into(&self, digest: &mut StateHasher) {
         digest.write_usize(self.files.len());
         for (path, inode) in &self.files {
             digest.write_str(path);
-            digest.write_usize(inode.data.len());
-            digest.write(&inode.data);
+            digest.write_bytes(&inode.data);
             digest.write_u32(inode.owner.as_u32());
             digest.write_u32(inode.group.as_u32());
             digest.write_u32(u32::from(inode.mode.bits()));

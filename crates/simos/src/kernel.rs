@@ -12,7 +12,7 @@ use crate::cred::Credentials;
 use crate::fs::{AccessMode, FileMode, FileSystem, OpenFlags};
 use crate::net::SimNetwork;
 use crate::passwd::PasswdDb;
-use nvariant_types::{ConnId, Errno, Fd, Fnv1a, Gid, Pid, Port, Uid};
+use nvariant_types::{ConnId, Errno, Fd, Gid, Pid, Port, StateHasher, Uid};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -602,7 +602,7 @@ impl OsKernel {
     /// table, console buffer and exit status — into `digest`, in canonical
     /// order. Two equal kernels always fold identically, which is what the
     /// model checker's visited-state pruning relies on.
-    pub fn digest_into(&self, digest: &mut Fnv1a) {
+    pub fn digest_into(&self, digest: &mut StateHasher) {
         digest.write_u64(self.sim_seconds);
         self.passwd.digest_into(digest);
         self.fs.digest_into(digest);
@@ -653,13 +653,12 @@ impl OsKernel {
                     }
                 }
             }
-            digest.write_usize(proc.console.len());
-            digest.write(&proc.console);
+            digest.write_bytes(&proc.console);
             match proc.exited {
                 None => digest.write_u8(0),
                 Some(status) => {
                     digest.write_u8(1);
-                    digest.write(&status.to_le_bytes());
+                    digest.write_u32(status as u32);
                 }
             }
         }

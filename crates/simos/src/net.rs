@@ -7,7 +7,7 @@
 //! them off with `accept`/`recv` and answers with `send`.
 
 use bytes::Bytes;
-use nvariant_types::{ConnId, Errno, Fnv1a, Port};
+use nvariant_types::{ConnId, Errno, Port, StateHasher};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -302,7 +302,7 @@ impl SimNetwork {
     /// Folds the complete network state — listeners with their backlogs,
     /// every connection's buffers and cursors, the preloaded request queues
     /// and the delivery cap — into `digest`, in canonical `BTreeMap` order.
-    pub fn digest_into(&self, digest: &mut Fnv1a) {
+    pub fn digest_into(&self, digest: &mut StateHasher) {
         digest.write_usize(self.listeners.len());
         for (port, listener) in &self.listeners {
             digest.write_u32(u32::from(*port));
@@ -315,11 +315,9 @@ impl SimNetwork {
         digest.write_usize(self.connections.len());
         for (id, conn) in &self.connections {
             digest.write_u64(*id);
-            digest.write_usize(conn.request.len());
-            digest.write(&conn.request);
+            digest.write_bytes(&conn.request);
             digest.write_usize(conn.read_pos);
-            digest.write_usize(conn.response.len());
-            digest.write(&conn.response);
+            digest.write_bytes(&conn.response);
             digest.write_u8(u8::from(conn.closed));
         }
         digest.write_u64(self.next_conn);
@@ -328,8 +326,7 @@ impl SimNetwork {
             digest.write_u32(u32::from(*port));
             digest.write_usize(queue.len());
             for request in queue {
-                digest.write_usize(request.len());
-                digest.write(request);
+                digest.write_bytes(request);
             }
         }
         match self.recv_cap {

@@ -299,7 +299,7 @@ impl PasswdDb {
     /// Folds the complete account database into `digest` via the canonical
     /// `passwd(5)`/`group(5)` renderings (which cover every field of every
     /// entry, in insertion order).
-    pub fn digest_into(&self, digest: &mut nvariant_types::Fnv1a) {
+    pub fn digest_into(&self, digest: &mut nvariant_types::StateHasher) {
         digest.write_str(&self.render_passwd());
         digest.write_str(&self.render_group());
     }

@@ -2,11 +2,14 @@
 //! processes.
 //!
 //! Every cross-process identity in the workspace — the campaign plan hash,
-//! the artifact store's content fingerprints and checksums, and the model
-//! checker's canonical state digests — uses this one construction, because
-//! such keys must survive process and machine boundaries (unlike `std`'s
-//! `DefaultHasher`, whose output is explicitly allowed to vary between
-//! releases).
+//! the artifact store's content fingerprints and checksums, and the shard
+//! prefix digests — uses this one construction, because such keys must
+//! survive process and machine boundaries (unlike `std`'s `DefaultHasher`,
+//! whose output is explicitly allowed to vary between releases).
+//!
+//! The model checker's in-process state digests do not: they fold tens of
+//! kilobytes per state and use the word-at-a-time
+//! [`StateHasher`](crate::StateHasher) instead.
 
 /// The FNV-1a 64-bit offset basis.
 const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
@@ -22,9 +25,8 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
     hasher.finish()
 }
 
-/// A streaming FNV-1a 64 hasher, for digests assembled from many small
-/// fields (kernel and process state digests) without building an
-/// intermediate buffer.
+/// A streaming FNV-1a 64 hasher, for identities assembled from many small
+/// fields without building an intermediate buffer.
 ///
 /// Multi-byte integers are folded in little-endian order; the caller is
 /// responsible for domain separation (writing distinguishing tags between

@@ -40,6 +40,7 @@ mod error;
 pub mod fnv;
 pub mod hex;
 mod ids;
+mod state_hash;
 mod uid;
 mod word;
 
@@ -48,5 +49,6 @@ pub use errno::Errno;
 pub use error::{KernelError, KernelResult};
 pub use fnv::{fnv1a_64, Fnv1a};
 pub use ids::{ConnId, Fd, Pid, Port, VariantId};
+pub use state_hash::StateHasher;
 pub use uid::{Gid, Uid};
 pub use word::Word;

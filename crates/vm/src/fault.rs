@@ -5,7 +5,7 @@
 //! variant, and instruction-set tagging turns injected code into a
 //! [`Fault::TagMismatch`]; the monitor interprets either as divergence.
 
-use nvariant_types::VirtAddr;
+use nvariant_types::{StateHasher, VirtAddr};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -83,6 +83,46 @@ impl fmt::Display for Fault {
             Fault::InvalidSyscall { number } => write!(f, "invalid system call number {number}"),
             Fault::WriteProtection { addr } => write!(f, "write to protected memory at {addr}"),
             Fault::StepLimitExceeded => write!(f, "step limit exceeded"),
+        }
+    }
+}
+
+impl Fault {
+    /// Folds the fault into a state digest: a variant tag, then its fields
+    /// one by one.
+    pub(crate) fn digest_into(&self, digest: &mut StateHasher) {
+        match *self {
+            Fault::Segfault { addr } => {
+                digest.write_u8(0);
+                digest.write_u32(addr.as_u32());
+            }
+            Fault::IllegalInstruction { pc, raw } => {
+                digest.write_u8(1);
+                digest.write_u32(pc.as_u32());
+                digest.write_bytes(&raw);
+            }
+            Fault::TagMismatch {
+                pc,
+                expected,
+                found,
+            } => {
+                digest.write_u8(2);
+                digest.write_u32(pc.as_u32());
+                digest.write_u8(expected);
+                digest.write_u8(found);
+            }
+            Fault::StackOverflow => digest.write_u8(3),
+            Fault::OperandStackUnderflow => digest.write_u8(4),
+            Fault::DivideByZero => digest.write_u8(5),
+            Fault::InvalidSyscall { number } => {
+                digest.write_u8(6);
+                digest.write_u32(number);
+            }
+            Fault::WriteProtection { addr } => {
+                digest.write_u8(7);
+                digest.write_u32(addr.as_u32());
+            }
+            Fault::StepLimitExceeded => digest.write_u8(8),
         }
     }
 }

@@ -26,7 +26,7 @@ use crate::bytecode::Instr;
 use crate::compile::CompiledProgram;
 use crate::fault::Fault;
 use nvariant_simos::ProcessMem;
-use nvariant_types::{Errno, VirtAddr, Word};
+use nvariant_types::{Errno, StateHasher, VirtAddr, Word};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -283,25 +283,41 @@ impl Process {
     /// stack, globals and stack images, execution state and instruction tag
     /// — into `digest`.
     ///
+    /// The stack grows down from the top of its image, so its low end is a
+    /// run of zeros no call ever reached. It is folded as the length of that
+    /// leading zero run followed by the remaining bytes: still a pure
+    /// function of the image, but the untouched region costs a scan, not a
+    /// hash.
+    ///
     /// Deliberately excluded: the code image (write-protected, fixed at
     /// construction and implied by the tag), the symbol tables (immutable),
     /// and the `instructions_executed` / `syscalls_made` counters (monotone
     /// bookkeeping whose inclusion would make every state look new and
     /// defeat the model checker's visited-state pruning).
-    pub fn digest_into(&self, digest: &mut nvariant_types::Fnv1a) {
+    pub fn digest_into(&self, digest: &mut StateHasher) {
         digest.write_u32(self.pc);
         digest.write_u32(self.sp);
         digest.write_u32(self.fp);
         digest.write_u8(self.expected_tag);
-        digest.write_str(&format!("{:?}", self.state));
+        match self.state {
+            ProcessState::Running => digest.write_u8(0),
+            ProcessState::Exited(status) => {
+                digest.write_u8(1);
+                digest.write_u32(status as u32);
+            }
+            ProcessState::Faulted(fault) => {
+                digest.write_u8(2);
+                fault.digest_into(digest);
+            }
+        }
         digest.write_usize(self.ostack.len());
         for word in &self.ostack {
             digest.write_u32(word.as_u32());
         }
-        digest.write_usize(self.globals.len());
-        digest.write(&self.globals);
-        digest.write_usize(self.stack.len());
-        digest.write(&self.stack);
+        digest.write_bytes(&self.globals);
+        let untouched = leading_zero_len(&self.stack);
+        digest.write_usize(untouched);
+        digest.write_bytes(&self.stack[untouched..]);
     }
 
     // ----- memory access ------------------------------------------------------
@@ -526,6 +542,17 @@ impl ProcessMem for Process {
     }
 }
 
+/// Length of the run of zero bytes at the start of `bytes`, scanned 16
+/// bytes at a time and finished bytewise.
+fn leading_zero_len(bytes: &[u8]) -> usize {
+    let words = bytes
+        .chunks_exact(16)
+        .take_while(|word| u128::from_le_bytes((*word).try_into().expect("16-byte chunk")) == 0)
+        .count();
+    let run = words * 16;
+    run + bytes[run..].iter().take_while(|&&byte| byte == 0).count()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -583,6 +610,54 @@ mod tests {
         // An address valid in variant 1 is unmapped in variant 0.
         assert!(p0.read_word(a1).is_err());
         assert!(p1.read_word(a0).is_err());
+    }
+
+    #[test]
+    fn execution_states_digest_distinctly() {
+        let c = compiled();
+        let digest = |state: ProcessState| {
+            let mut p = Process::new(&c, MemoryLayout::default());
+            match state {
+                ProcessState::Running => {}
+                ProcessState::Exited(status) => p.set_exited(status),
+                ProcessState::Faulted(fault) => p.set_faulted(fault),
+            }
+            let mut hasher = StateHasher::new();
+            p.digest_into(&mut hasher);
+            hasher.finish()
+        };
+        let segfault = |addr| {
+            ProcessState::Faulted(Fault::Segfault {
+                addr: VirtAddr::new(addr),
+            })
+        };
+        let states = [
+            ProcessState::Running,
+            ProcessState::Exited(0),
+            ProcessState::Exited(1),
+            segfault(4),
+            segfault(8),
+            ProcessState::Faulted(Fault::WriteProtection {
+                addr: VirtAddr::new(4),
+            }),
+            ProcessState::Faulted(Fault::StackOverflow),
+            ProcessState::Faulted(Fault::DivideByZero),
+        ];
+        let digests: std::collections::HashSet<u64> = states.into_iter().map(digest).collect();
+        assert_eq!(digests.len(), states.len());
+    }
+
+    #[test]
+    fn leading_zero_run_is_found_across_chunk_boundaries() {
+        for len in [0usize, 1, 15, 16, 17, 40] {
+            for first in 0..=len {
+                let mut bytes = vec![0u8; len];
+                if first < len {
+                    bytes[first] = 1;
+                }
+                assert_eq!(leading_zero_len(&bytes), first, "len {len}, first {first}");
+            }
+        }
     }
 
     #[test]
