@@ -337,6 +337,68 @@ impl Process {
         }
     }
 
+    /// Which writable segments the interpreter may index directly: those
+    /// [`Process::segment_for`] resolves for every one of their addresses,
+    /// i.e. that overlap no segment earlier in its precedence (code, then
+    /// globals, then stack). Computed once per interpreter call.
+    pub(crate) fn direct_segments(&self) -> DirectSegments {
+        let layout = &self.layout;
+        // Ranges as `segment_for` reads them; a wrapped end is an empty
+        // range there, and `overlaps` treats it as one.
+        let code = (
+            layout.code_base,
+            layout.code_base.wrapping_add(self.code.len() as u32),
+        );
+        let globals = layout
+            .globals_base
+            .checked_add(self.globals.len() as u32)
+            .map(|end| (layout.globals_base, end));
+        let stack = layout
+            .stack_top
+            .checked_sub(layout.stack_size)
+            .map(|base| (base, layout.stack_top));
+        let overlaps = |(a0, a1): (u32, u32), (b0, b1): (u32, u32)| a0.max(b0) < a1.min(b1);
+        DirectSegments {
+            globals: globals
+                .filter(|&g| !overlaps(g, code))
+                .map(|(base, _)| base),
+            stack: stack
+                .filter(|&s| !overlaps(s, code) && globals.is_none_or(|g| !overlaps(s, g)))
+                .map(|(base, _)| base),
+        }
+    }
+
+    /// The stack word at `addr`, when the stack is direct and holds all four
+    /// bytes; `None` leaves the access to [`Process::read_word`].
+    #[inline]
+    pub(crate) fn direct_stack_word(&self, direct: DirectSegments, addr: u32) -> Option<Word> {
+        let off = addr.wrapping_sub(direct.stack?) as usize;
+        let bytes = self.stack.get(off..)?.first_chunk::<4>()?;
+        Some(Word::from_le_bytes(*bytes))
+    }
+
+    /// The stack bytes of the word at `addr`, under the same condition as
+    /// [`Process::direct_stack_word`].
+    #[inline]
+    pub(crate) fn direct_stack_word_mut(
+        &mut self,
+        direct: DirectSegments,
+        addr: u32,
+    ) -> Option<&mut [u8; 4]> {
+        let off = addr.wrapping_sub(direct.stack?) as usize;
+        self.stack.get_mut(off..)?.first_chunk_mut::<4>()
+    }
+
+    /// The byte at `addr`, when it lies in a direct globals or stack
+    /// segment; `None` leaves the access to [`Process::read_byte`].
+    #[inline]
+    pub(crate) fn direct_byte(&self, direct: DirectSegments, addr: u32) -> Option<u8> {
+        let in_segment = |bytes: &[u8], base: Option<u32>| {
+            base.and_then(|base| bytes.get(addr.wrapping_sub(base) as usize).copied())
+        };
+        in_segment(&self.globals, direct.globals).or_else(|| in_segment(&self.stack, direct.stack))
+    }
+
     /// Reads one byte of process memory.
     ///
     /// # Errors
@@ -521,6 +583,15 @@ impl Process {
         }
         Ok(out)
     }
+}
+
+/// The base address of each writable segment the interpreter may index
+/// directly (see [`Process::direct_segments`]); `None` sends every access
+/// to that segment through the byte-accurate lookup.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct DirectSegments {
+    pub(crate) globals: Option<u32>,
+    pub(crate) stack: Option<u32>,
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

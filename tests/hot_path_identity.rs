@@ -2,7 +2,7 @@
 //! behavior must be bit-for-bit what it was before the interpreter
 //! dispatch, code-image sharing, and world-cloning optimizations.
 //!
-//! Three layers of protection:
+//! Four layers of protection:
 //!
 //! 1. A **committed golden fixture**: the canonical text of a fixed-seed
 //!    quick campaign matrix, generated on the pre-optimization tree and
@@ -14,7 +14,10 @@
 //! 2. A **proptest over random programs** comparing the two instantiate
 //!    paths (`instantiate()` against `instantiate_in(kernel_template())`):
 //!    identical outcomes and identical `instructions_executed` counts.
-//! 3. **CoW isolation units**: one cell's file writes (the bundled httpd
+//! 3. A **proptest over the same random programs** checking that the
+//!    interpreter loop (`Process::run_until_trap`) is `Process::step`
+//!    repeated: the same traps, instruction counts and state digests.
+//! 4. **CoW isolation units**: one cell's file writes (the bundled httpd
 //!    appends an access-log line per request) must never be visible to a
 //!    sibling instantiation or to the shared kernel template.
 
@@ -23,7 +26,11 @@ use nvariant_apps::campaigns::{
     full_matrix_campaign, security_sweep_configs, security_sweep_worlds,
 };
 use nvariant_apps::scenarios::compiled_httpd_system;
-use nvariant_types::Port;
+use nvariant_simos::{SyscallRequest, Sysno};
+use nvariant_types::{Port, StateHasher, Word};
+use nvariant_vm::{
+    compile_program, parse_with_stdlib, Fault, MemoryLayout, Process, StepResult, TrapReason,
+};
 use proptest::prelude::*;
 use std::path::PathBuf;
 
@@ -133,6 +140,81 @@ proptest! {
             via_world.metrics.total_instructions
         );
         prop_assert!(direct.metrics.total_instructions > 0);
+    }
+}
+
+/// Everything [`Process::digest_into`] folds in, as one word.
+fn process_digest(process: &Process) -> u64 {
+    let mut digest = StateHasher::new();
+    process.digest_into(&mut digest);
+    digest.finish()
+}
+
+/// The reply every trap of the loop-contract property gets: `getuid`
+/// reports httpd's UID, every other call succeeds.
+fn reply(req: &SyscallRequest) -> Word {
+    match req.sysno {
+        Sysno::GetUid => Word::from_u32(48),
+        _ => Word::ZERO,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The interpreter loop is `step()` repeated: driving a process with
+    /// `run_until_trap` gives the same trap sequence, and at every trap the
+    /// same instruction count and state digest, as driving a clone one
+    /// `step()` at a time under the same budget — whatever the layout,
+    /// the instruction tag or where the budget runs out.
+    #[test]
+    fn run_until_trap_is_step_repeated(
+        n in 0u32..300,
+        mul in 1u32..7,
+        add in 0u32..5,
+        modv in 1u32..4,
+        variant in 0u8..3,
+        budget in 1u64..4000,
+    ) {
+        let program = parse_with_stdlib(&program_source(n, mul, add, modv))
+            .expect("template program parses");
+        let compiled = compile_program(&program).expect("template program compiles");
+        let layout = match variant {
+            0 => MemoryLayout::default(),
+            _ => MemoryLayout::default().with_partition_bit(),
+        };
+        let mut looped = Process::with_tag(&compiled, layout, variant);
+        let mut stepped = looped.clone();
+        let mut traps = 0;
+        loop {
+            let trap = looped.run_until_trap(budget);
+            let mut stepped_trap = TrapReason::Faulted(Fault::StepLimitExceeded);
+            for _ in 0..budget {
+                match stepped.step() {
+                    StepResult::Continue => continue,
+                    StepResult::Syscall(req) => stepped_trap = TrapReason::Syscall(req),
+                    StepResult::Exited(status) => stepped_trap = TrapReason::Exited(status),
+                    StepResult::Faulted(fault) => stepped_trap = TrapReason::Faulted(fault),
+                }
+                break;
+            }
+            if stepped_trap == TrapReason::Faulted(Fault::StepLimitExceeded) {
+                stepped.set_faulted(Fault::StepLimitExceeded);
+            }
+            prop_assert_eq!(&trap, &stepped_trap);
+            prop_assert_eq!(looped.instructions_executed(), stepped.instructions_executed());
+            prop_assert_eq!(process_digest(&looped), process_digest(&stepped));
+            traps += 1;
+            match trap {
+                TrapReason::Syscall(req) if req.sysno == Sysno::Exit => break,
+                TrapReason::Syscall(req) => {
+                    looped.complete_syscall(reply(&req));
+                    stepped.complete_syscall(reply(&req));
+                }
+                TrapReason::Exited(_) | TrapReason::Faulted(_) => break,
+            }
+        }
+        prop_assert!(traps > 0);
     }
 }
 
