@@ -647,15 +647,6 @@ impl CampaignPlan {
         )
     }
 
-    /// Executes a single cell in a freshly provisioned world (convenience
-    /// wrapper; sweeps should prefer [`run_cells`](Self::run_cells), which
-    /// provisions each (configuration, world) pair once).
-    #[must_use]
-    pub fn run_cell(&self, spec: CellSpec) -> CellResult {
-        let world = self.provisioned_kernel(spec.config_index, spec.world_index);
-        self.run_cell_in(spec, &world)
-    }
-
     /// Executes a single cell: instantiate into the provisioned world,
     /// stage, run, collect, judge.
     fn run_cell_in(&self, spec: CellSpec, world: &OsKernel) -> CellResult {

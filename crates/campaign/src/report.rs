@@ -113,7 +113,8 @@ pub enum MergeError {
     /// (config, world, scenario, replicate) — they do not partition a plan.
     DuplicateCell(usize, usize, usize, usize),
     /// A shard contains a cell whose coordinates fall outside the plan's
-    /// matrix shape.
+    /// matrix shape, or outside the round-robin slice a single-shard check
+    /// expects.
     UnexpectedCell(usize, usize, usize, usize),
     /// The merged shards do not cover the plan's full cell matrix: the
     /// shard set is incomplete (a worker's report is missing or was
@@ -160,7 +161,7 @@ impl fmt::Display for MergeError {
             MergeError::UnexpectedCell(c, w, s, r) => write!(
                 f,
                 "cell (config {c}, world {w}, scenario {s}, replicate {r}) falls outside \
-                 the plan's matrix"
+                 the plan's matrix or the shard's slice"
             ),
             MergeError::MissingCells {
                 missing,
@@ -920,6 +921,45 @@ mod tests {
             CampaignReport::merge([a]),
             Err(MergeError::UnexpectedCell(0, 0, 0, 1))
         ));
+    }
+
+    #[test]
+    fn sliced_merge_checks_one_shard_against_its_round_robin_cells() {
+        let sliced = |cells: Vec<CellResult>| {
+            ShardMerger::new(vec![ReportCells::from(shard(cells, 4))])
+                .map(|merger| merger.slice(1, 2))
+                .and_then(ShardMerger::into_report)
+        };
+        // Slice 1 of 2 over 4 replicates is {r1, r3}.
+        let report = sliced(vec![replicate_cell(1), replicate_cell(3)]).unwrap();
+        assert_eq!(report.cells.len(), 2);
+        assert!(matches!(
+            sliced(vec![replicate_cell(1), replicate_cell(2)]),
+            Err(StreamMergeError::Merge(MergeError::UnexpectedCell(
+                0, 0, 0, 2
+            )))
+        ));
+        assert!(matches!(
+            sliced(vec![
+                replicate_cell(1),
+                replicate_cell(1),
+                replicate_cell(3)
+            ]),
+            Err(StreamMergeError::Merge(MergeError::DuplicateCell(
+                0, 0, 0, 1
+            )))
+        ));
+        match sliced(vec![replicate_cell(3)]) {
+            Err(StreamMergeError::Merge(MergeError::MissingCells {
+                missing,
+                covered,
+                expected,
+            })) => {
+                assert_eq!(missing, vec![(0, 0, 0, 1)]);
+                assert_eq!((covered, expected), (1, 2));
+            }
+            other => panic!("expected MissingCells, got {other:?}"),
+        }
     }
 
     #[test]

@@ -305,9 +305,10 @@ impl ShardHeader {
 }
 
 /// A streaming reader over the shard interchange format: parses the header
-/// eagerly, then yields one [`CellResult`] at a time from any [`BufRead`]
-/// source (a file, a retrieved byte stream, an in-memory slice), so a
-/// consumer's peak memory is one cell — independent of shard size.
+/// eagerly, then yields one [`CellResult`] at a time from any
+/// [`BufRead`](std::io::BufRead) source (a file, a retrieved byte stream,
+/// an in-memory slice), so a consumer's peak memory is one cell —
+/// independent of shard size.
 ///
 /// The grammar, error messages and 1-based error line numbers are exactly
 /// those of [`CampaignReport::from_shard_text`], which is implemented over

@@ -615,10 +615,17 @@ impl From<MergeError> for StreamMergeError {
 /// A lazy enumerator of a matrix shape's canonical coordinate order —
 /// [`PlanShape::coordinates`] without the allocation, so validating
 /// coverage of an absurdly declared shape costs iteration, not memory.
+///
+/// A walk may be restricted to one round-robin slice of the matrix (see
+/// [`ShardMerger::slice`]): the coordinates whose canonical position is
+/// congruent to `index` modulo `count`, which is exactly the cell set of
+/// [`CampaignPlan::shard`](crate::CampaignPlan::shard).
 #[derive(Clone, Debug)]
 pub struct CoordinateWalk {
     shape: PlanShape,
     next: Option<(usize, usize, usize, usize)>,
+    /// The round-robin slice `(index, count)`; `(0, 1)` is the whole matrix.
+    slice: (usize, usize),
 }
 
 impl CoordinateWalk {
@@ -626,7 +633,23 @@ impl CoordinateWalk {
     #[must_use]
     pub fn new(shape: PlanShape) -> Self {
         let next = (shape.cell_count() > 0).then_some((0, 0, 0, 0));
-        CoordinateWalk { shape, next }
+        CoordinateWalk {
+            shape,
+            next,
+            slice: (0, 1),
+        }
+    }
+
+    /// Starts a walk over round-robin slice `index` of `count` of
+    /// `shape`'s matrix (a zero `count` is treated as one).
+    #[must_use]
+    pub(crate) fn slice(shape: PlanShape, index: usize, count: usize) -> Self {
+        let mut walk = CoordinateWalk::new(shape);
+        walk.slice = (index, count.max(1));
+        for _ in 0..index {
+            walk.advance();
+        }
+        walk
     }
 
     /// The next coordinate without consuming it.
@@ -634,14 +657,24 @@ impl CoordinateWalk {
     pub fn peek(&self) -> Option<(usize, usize, usize, usize)> {
         self.next
     }
-}
 
-impl Iterator for CoordinateWalk {
-    type Item = (usize, usize, usize, usize);
+    /// Whether `coordinates` lie in the walked matrix and slice.
+    #[must_use]
+    pub(crate) fn contains(&self, coordinates: (usize, usize, usize, usize)) -> bool {
+        let (index, count) = self.slice;
+        let (c, w, s, r) = coordinates;
+        let shape = self.shape;
+        self.shape.contains(coordinates)
+            && (count == 1
+                || (((c * shape.worlds + w) * shape.scenarios + s) * shape.replicates + r) % count
+                    == index)
+    }
 
-    fn next(&mut self) -> Option<Self::Item> {
-        let current = self.next?;
-        let (mut c, mut w, mut s, mut r) = current;
+    /// Moves `next` one coordinate forward in canonical order.
+    fn advance(&mut self) {
+        let Some((mut c, mut w, mut s, mut r)) = self.next else {
+            return;
+        };
         r += 1;
         if r == self.shape.replicates {
             r = 0;
@@ -656,6 +689,18 @@ impl Iterator for CoordinateWalk {
             }
         }
         self.next = (c < self.shape.configs).then_some((c, w, s, r));
+    }
+}
+
+impl Iterator for CoordinateWalk {
+    type Item = (usize, usize, usize, usize);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let current = self.next?;
+        self.advance();
+        for _ in 1..self.slice.1 {
+            self.advance();
+        }
         Some(current)
     }
 }
@@ -823,6 +868,22 @@ impl<S: CellSource> ShardMerger<S> {
         Ok(merger)
     }
 
+    /// Restricts the merge to round-robin slice `index` of `count` of the
+    /// plan's matrix — the cell set of
+    /// [`CampaignPlan::shard`](crate::CampaignPlan::shard) — so one shard
+    /// file validates on its own: a cell outside the slice is
+    /// [`MergeError::UnexpectedCell`], a gap [`MergeError::MissingCells`]
+    /// and a repeat [`MergeError::DuplicateCell`]. Call it before the first
+    /// [`next_cell`](Self::next_cell).
+    #[must_use]
+    pub fn slice(mut self, index: usize, count: usize) -> Self {
+        debug_assert_eq!(self.covered, 0, "slice a merge before it starts");
+        let count = count.max(1);
+        self.expected = CoordinateWalk::slice(self.header.shape, index, count);
+        self.expected_count = self.expected_count.saturating_sub(index).div_ceil(count);
+        self
+    }
+
     /// The merged header: plan identity from the gate, `workers` as the
     /// widest shard, `total_wall` as the sum of shard walls.
     #[must_use]
@@ -903,7 +964,7 @@ impl<S: CellSource> ShardMerger<S> {
             .expect("selected head is present")
             .spec
             .coordinates();
-        if !self.header.shape.contains(coordinates) {
+        if !self.expected.contains(coordinates) {
             let (c, w, s, r) = coordinates;
             return Err(MergeError::UnexpectedCell(c, w, s, r).into());
         }
@@ -1293,8 +1354,19 @@ mod tests {
             scenarios: 2,
             replicates: 2,
         };
-        let walked: Vec<_> = CoordinateWalk::new(shape).collect();
-        assert_eq!(walked, shape.coordinates());
+        let all = shape.coordinates();
+        assert_eq!(CoordinateWalk::new(shape).collect::<Vec<_>>(), all);
+        // A slice walks and contains exactly the round-robin shard's cells.
+        for count in 1..=5 {
+            for index in 0..count {
+                let walk = CoordinateWalk::slice(shape, index, count);
+                let expected: Vec<_> = all.iter().copied().skip(index).step_by(count).collect();
+                assert!(all
+                    .iter()
+                    .all(|c| walk.contains(*c) == expected.contains(c)));
+                assert_eq!(walk.collect::<Vec<_>>(), expected, "slice {index}/{count}");
+            }
+        }
         let empty = PlanShape {
             configs: 0,
             worlds: 1,

@@ -1,69 +1,10 @@
 //! Unified outcomes and metrics across single-process and N-variant runs.
 
-use nvariant_monitor::{Alarm, MonitorMetrics, NVariantOutcome};
+pub use nvariant_monitor::ExecutionMetrics;
+use nvariant_monitor::{Alarm, NVariantOutcome};
 use nvariant_vm::RunOutcome;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-
-/// Execution counters in a shape shared by single-process and N-variant
-/// deployments, used by the performance model behind the Table 3
-/// reproduction.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ExecutionMetrics {
-    /// Number of variant processes that executed.
-    pub variants: usize,
-    /// Total bytecode instructions executed across all variants.
-    pub total_instructions: u64,
-    /// Synchronization points / system calls issued.
-    pub syscalls: u64,
-    /// Cross-variant equivalence checks performed by the monitor
-    /// (zero for single-process deployments).
-    pub monitor_checks: u64,
-    /// Table 2 detection calls observed.
-    pub detection_calls: u64,
-    /// I/O bytes moved by the kernel (performed once regardless of the
-    /// number of variants).
-    pub io_bytes: u64,
-}
-
-impl ExecutionMetrics {
-    /// Merges another run's counters into this one.
-    pub fn absorb(&mut self, other: &ExecutionMetrics) {
-        self.variants = self.variants.max(other.variants);
-        self.total_instructions += other.total_instructions;
-        self.syscalls += other.syscalls;
-        self.monitor_checks += other.monitor_checks;
-        self.detection_calls += other.detection_calls;
-        self.io_bytes += other.io_bytes;
-    }
-}
-
-impl From<MonitorMetrics> for ExecutionMetrics {
-    fn from(m: MonitorMetrics) -> Self {
-        ExecutionMetrics {
-            variants: m.variants,
-            total_instructions: m.total_instructions,
-            syscalls: m.syscalls,
-            monitor_checks: m.equivalence_checks,
-            detection_calls: m.detection_calls,
-            io_bytes: m.io_bytes(),
-        }
-    }
-}
-
-impl fmt::Display for ExecutionMetrics {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} variants, {} instructions, {} syscalls, {} checks, {} I/O bytes",
-            self.variants,
-            self.total_instructions,
-            self.syscalls,
-            self.monitor_checks,
-            self.io_bytes
-        )
-    }
-}
 
 /// The outcome of running a deployed system to completion.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -118,7 +59,7 @@ impl SystemOutcome {
             exit_status: outcome.exit_status,
             alarm: outcome.alarm.clone(),
             fault: None,
-            metrics: outcome.metrics.into(),
+            metrics: outcome.metrics,
         }
     }
 }
@@ -185,13 +126,13 @@ mod tests {
                 },
                 3,
             )),
-            metrics: {
-                let mut m = MonitorMetrics::new(2);
-                m.total_instructions = 999;
-                m.equivalence_checks = 12;
-                m.detection_calls = 2;
-                m.input_bytes = 100;
-                m
+            metrics: ExecutionMetrics {
+                variants: 2,
+                total_instructions: 999,
+                monitor_checks: 12,
+                detection_calls: 2,
+                io_bytes: 100,
+                ..ExecutionMetrics::default()
             },
         };
         let outcome = SystemOutcome::from_nvariant(&monitor_outcome);

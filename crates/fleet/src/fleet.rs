@@ -3,23 +3,23 @@
 //! re-admission, warm serving from the shared cell cache, fault injection
 //! for tests, and divergence diagnosis of disagreeing shards.
 //!
-//! The scheduler is written entirely against
-//! [`WorkerTransport`](crate::WorkerTransport), so the same supervision
-//! loop drives local child processes and command-prefix (ssh-style)
-//! fleets. Elasticity comes from the shared cache, not from the scheduler:
-//! a host only ever executes cells nobody has computed yet, because fully
-//! cached shards are served warm by the coordinator (file reads, no worker)
-//! and workers themselves skip cached cells via `--cache-dir`.
+//! The scheduler is written entirely against [`WorkerTransport`], so the
+//! same supervision loop drives local child processes and command-prefix
+//! (ssh-style) fleets. Elasticity comes from the shared cache, not from the
+//! scheduler: a host only ever executes cells nobody has computed yet,
+//! because fully cached shards are served warm by the coordinator (file
+//! reads, no worker) and workers themselves skip cached cells via
+//! `--cache-dir`.
 
 use std::collections::BTreeSet;
 use std::fmt;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use nvariant_campaign::{
-    CacheStats, CampaignPlan, CampaignReport, CoordinateWalk, MergeError, ShardCursor, ShardMerger,
+    CacheStats, CampaignPlan, CampaignReport, MergeError, ShardCursor, ShardMerger,
     StreamMergeError,
 };
 
@@ -759,8 +759,8 @@ impl<'plan> Fleet<'plan> {
 
     /// Streams the worker's shard file to the shard's spool path —
     /// `io::copy` from the transport's reader, never the whole file in
-    /// memory. The in-transit corruption injection (test-only) takes the
-    /// buffered path, since it must rewrite a line.
+    /// memory. The in-transit corruption injection (test-only) reads the
+    /// stream into a string instead, since it must rewrite a line.
     fn spool(
         &self,
         shard: usize,
@@ -770,95 +770,66 @@ impl<'plan> Fleet<'plan> {
         let spool = self.spool_path(shard);
         let corrupt = self.config.corrupt_shards.contains(&shard) && attempts_used == 1;
         let retry = |message: String| CollectFailure::Retry(message);
+        let retrieval_failed =
+            |error: &dyn fmt::Display| retry(format!("shard file retrieval failed: {error}"));
+        let spool_failed =
+            |error: std::io::Error| retry(format!("cannot spool shard file: {error}"));
+        let mut reader = handle.retrieve_stream().map_err(|e| retrieval_failed(&e))?;
         if corrupt {
             (self.progress)(&format!(
                 "shard {shard}: attempt 1 corrupted in transit by --corrupt-shard fault injection"
             ));
-            let text = handle
-                .retrieve()
-                .map_err(|error| retry(format!("shard file retrieval failed: {error}")))?;
-            std::fs::write(&spool, corrupt_shard_text(&text))
-                .map_err(|error| retry(format!("cannot spool shard file: {error}")))?;
+            let mut text = String::new();
+            reader
+                .read_to_string(&mut text)
+                .map_err(|e| retrieval_failed(&e))?;
+            std::fs::write(&spool, corrupt_shard_text(&text)).map_err(spool_failed)?;
             return Ok(spool);
         }
-        let mut reader = handle
-            .retrieve_stream()
-            .map_err(|error| retry(format!("shard file retrieval failed: {error}")))?;
-        let file = std::fs::File::create(&spool)
-            .map_err(|error| retry(format!("cannot spool shard file: {error}")))?;
+        let file = std::fs::File::create(&spool).map_err(spool_failed)?;
         let mut writer = std::io::BufWriter::new(file);
         std::io::copy(&mut reader, &mut writer)
             .and_then(|_| writer.flush())
-            .map_err(|error| retry(format!("shard file retrieval failed: {error}")))?;
+            .map_err(|e| retrieval_failed(&e))?;
         Ok(spool)
     }
 
-    /// Validates a spooled shard file by streaming it — header gates, then
-    /// a one-cell-at-a-time walk against the shard's expected round-robin
-    /// coordinate slice, with the shared-cache cross-check folded into the
-    /// same pass (digest-only streams; no cell is retained). Any retryable
-    /// failure (truncated/corrupt file, foreign plan hash, wrong cell set)
-    /// counts against the shard's attempt cap exactly like a crash; a
-    /// cache disagreement is a data integrity failure (a host computed —
-    /// or the transport delivered — a *different result for the same
+    /// Validates a spooled shard file by streaming it through a
+    /// [`ShardMerger`] restricted to the shard's round-robin slice — the
+    /// plan gate, then a one-cell-at-a-time coverage check — with the
+    /// shared-cache cross-check folded into the same pass (digest-only
+    /// streams; no cell is retained). Any retryable failure
+    /// (truncated/corrupt file, foreign plan hash, wrong cell set) counts
+    /// against the shard's attempt cap exactly like a crash; a cache
+    /// disagreement is a data integrity failure (a host computed — or the
+    /// transport delivered — a *different result for the same
     /// deterministic cell*) that aborts the run, diagnosed by the
     /// logarithmic divergence finder to its exact first coordinate.
     ///
     /// Returns the number of cells the shard covers.
     fn validate_streamed(&self, shard: usize, spool: &Path) -> Result<usize, CollectFailure> {
-        let retry = |message: String| CollectFailure::Retry(message);
-        let parse_failed = |error: &dyn fmt::Display| retry(format!("shard file: {error}"));
-        let mut cursor = ShardCursor::open(spool).map_err(|e| parse_failed(&e))?;
-        // A foreign plan hash or a corrupt or tampered shape header is an
-        // unusable file like any other: count it against the attempt cap
-        // here instead of letting it abort the whole campaign at the final
-        // merge.
-        cursor
-            .header()
-            .check_plan(self.plan.plan_hash(), self.plan.shape())
-            .map_err(|e| retry(e.to_string()))?;
-        let total = self.plan.shape().cell_count();
-        let expected_total = if shard < total {
-            (total - shard).div_ceil(self.config.shards)
-        } else {
-            0
+        // One file, so the merger's source index is always 0: report the
+        // error without it.
+        let retry = |error: StreamMergeError| {
+            CollectFailure::Retry(match error {
+                StreamMergeError::Shard { error, .. } => format!("shard file: {error}"),
+                StreamMergeError::Foreign { error, .. } => error.to_string(),
+                StreamMergeError::Merge(error) => format!("shard cell set: {error}"),
+            })
         };
-        let mut expected_walk = CoordinateWalk::new(self.plan.shape())
-            .skip(shard)
-            .step_by(self.config.shards.max(1));
+        let mut merger = ShardMerger::open(&[spool], self.plan.plan_hash(), self.plan.shape())
+            .map_err(retry)?
+            .slice(shard, self.config.shards);
         let cache = self.plan.cell_cache();
         let mut expected_stream = CellStream::new();
         let mut observed_stream = CellStream::new();
         let mut got = 0_usize;
-        let mut set_mismatch = false;
-        let mut first_diff = String::new();
-        while let Some(cell) = cursor.next_cell().map_err(|e| parse_failed(&e))? {
+        while let Some(cell) = merger.next_cell().map_err(retry)? {
             got += 1;
-            match expected_walk.next() {
-                Some(expected) if expected == cell.spec.coordinates() => {
-                    if let Some(cache) = &cache {
-                        if let Some(cached) = cache.lookup(&cell.spec) {
-                            expected_stream.push(&cached.canonical_line());
-                            observed_stream.push(&cell.canonical_line());
-                        }
-                    }
-                }
-                Some(expected) => {
-                    if !set_mismatch {
-                        first_diff = format!(
-                            "; first divergence: expected {expected:?}, got {:?}",
-                            cell.spec.coordinates()
-                        );
-                    }
-                    set_mismatch = true;
-                }
-                None => set_mismatch = true,
+            if let Some(cached) = cache.as_ref().and_then(|cache| cache.lookup(&cell.spec)) {
+                expected_stream.push(&cached.canonical_line());
+                observed_stream.push(&cell.canonical_line());
             }
-        }
-        if set_mismatch || got != expected_total {
-            return Err(retry(format!(
-                "shard cell set mismatch: expected {expected_total} cells, got {got}{first_diff}"
-            )));
         }
         let cells_compared = expected_stream.len();
         let scan = find_divergence(&expected_stream, &observed_stream, |index| {

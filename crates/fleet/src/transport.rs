@@ -22,7 +22,6 @@ use std::fmt;
 use std::io::{BufRead, BufReader, Read};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
 
 /// Why a transport operation failed (spawn refused, retrieval failed, ...).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -97,38 +96,17 @@ pub trait WorkerHandle {
     /// Non-blocking status check.
     fn poll(&mut self) -> WorkerStatus;
 
-    /// Polls until the worker exits or `deadline` passes; returns
-    /// [`WorkerStatus::Running`] only when the deadline expired first.
-    fn wait_deadline(&mut self, deadline: Instant) -> WorkerStatus {
-        loop {
-            match self.poll() {
-                WorkerStatus::Running if Instant::now() < deadline => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                status => return status,
-            }
-        }
-    }
-
     /// Terminates the worker (idempotent; errors are swallowed — a worker
     /// that already exited cannot be killed again).
     fn kill(&mut self);
 
-    /// Retrieves the shard file the worker wrote, as text. Only meaningful
-    /// after a successful exit; a missing or unreadable file is an error
-    /// the scheduler counts against the attempt.
-    fn retrieve(&mut self) -> Result<String, TransportError>;
-
-    /// Retrieves the shard file as a buffered byte stream, so the
-    /// scheduler can spool and validate it without ever holding the whole
-    /// file in memory. The default implementation wraps
-    /// [`retrieve`](Self::retrieve) (fine for test doubles); real
-    /// transports override it to stream from disk or from the retrieval
-    /// command's pipe.
-    fn retrieve_stream(&mut self) -> Result<Box<dyn BufRead + Send>, TransportError> {
-        self.retrieve()
-            .map(|text| Box::new(std::io::Cursor::new(text.into_bytes())) as _)
-    }
+    /// Retrieves the shard file the worker wrote as a buffered byte
+    /// stream, so the scheduler can spool and validate it without ever
+    /// holding the whole file in memory. Only meaningful after a
+    /// successful exit; a missing or unreadable file is an error the
+    /// scheduler counts against the attempt (a retrieval command that
+    /// fails after it started surfaces as a read error on the stream).
+    fn retrieve_stream(&mut self) -> Result<Box<dyn BufRead + Send>, TransportError>;
 }
 
 /// The streaming side of a command-prefix retrieval: the retrieval child's
@@ -222,28 +200,6 @@ impl WorkerHandle for ProcessHandle {
     fn kill(&mut self) {
         let _ = self.child.kill();
         let _ = self.child.wait();
-    }
-
-    fn retrieve(&mut self) -> Result<String, TransportError> {
-        match &mut self.retrieval {
-            Retrieval::LocalFile(path) => std::fs::read_to_string(&*path).map_err(|error| {
-                TransportError::new(format!("cannot read {}: {error}", path.display()))
-            }),
-            Retrieval::Command(command) => {
-                let output = command.output().map_err(|error| {
-                    TransportError::new(format!("retrieval command failed to start: {error}"))
-                })?;
-                if !output.status.success() {
-                    return Err(TransportError::new(format!(
-                        "retrieval command exited with {}: {}",
-                        output.status,
-                        String::from_utf8_lossy(&output.stderr).trim()
-                    )));
-                }
-                String::from_utf8(output.stdout)
-                    .map_err(|_| TransportError::new("retrieved shard file is not UTF-8"))
-            }
-        }
     }
 
     fn retrieve_stream(&mut self) -> Result<Box<dyn BufRead + Send>, TransportError> {
@@ -424,6 +380,7 @@ pub fn local_shard_path(scratch_dir: &Path, index: usize, count: usize) -> PathB
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::{Duration, Instant};
 
     fn scratch(name: &str) -> PathBuf {
         let dir =
@@ -441,6 +398,29 @@ mod tests {
         perms.set_mode(0o755);
         std::fs::set_permissions(&path, perms).expect("chmod script");
         path
+    }
+
+    /// Polls until the worker exits or `deadline` passes; returns
+    /// [`WorkerStatus::Running`] only when the deadline expired first.
+    fn wait_deadline(handle: &mut dyn WorkerHandle, deadline: Instant) -> WorkerStatus {
+        loop {
+            match handle.poll() {
+                WorkerStatus::Running if Instant::now() < deadline => {
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                status => return status,
+            }
+        }
+    }
+
+    /// Reads the worker's whole shard file back through its stream.
+    fn read_shard(handle: &mut dyn WorkerHandle) -> std::io::Result<String> {
+        let mut text = String::new();
+        handle
+            .retrieve_stream()
+            .map_err(|error| std::io::Error::other(error.message))?
+            .read_to_string(&mut text)?;
+        Ok(text)
     }
 
     fn assignment(dir: &Path, worker: &Path) -> ShardAssignment {
@@ -474,7 +454,7 @@ printf 'marker %s\n' "$NVFLEET_TEST_TAG" > "$out"
         let mut handle = transport
             .spawn("anyhost", &assignment(&dir, &worker))
             .expect("spawn");
-        let status = handle.wait_deadline(Instant::now() + Duration::from_secs(10));
+        let status = wait_deadline(handle.as_mut(), Instant::now() + Duration::from_secs(10));
         assert_eq!(
             status,
             WorkerStatus::Exited {
@@ -482,7 +462,10 @@ printf 'marker %s\n' "$NVFLEET_TEST_TAG" > "$out"
                 detail: "exit status: 0".to_string()
             }
         );
-        assert_eq!(handle.retrieve().expect("retrieve"), "marker local\n");
+        assert_eq!(
+            read_shard(handle.as_mut()).expect("retrieve"),
+            "marker local\n"
+        );
         // The local transport keeps the shard file in the scratch dir.
         assert!(local_shard_path(&dir, 1, 4).is_file());
     }
@@ -522,7 +505,7 @@ printf 'host %s shard %s\n' "$(basename "$(pwd)")" "$shard" > "$out"
         let mut handle = transport
             .spawn("alpha", &assignment(&dir, &worker))
             .expect("spawn");
-        let status = handle.wait_deadline(Instant::now() + Duration::from_secs(10));
+        let status = wait_deadline(handle.as_mut(), Instant::now() + Duration::from_secs(10));
         assert_eq!(
             status,
             WorkerStatus::Exited {
@@ -533,7 +516,7 @@ printf 'host %s shard %s\n' "$(basename "$(pwd)")" "$shard" > "$out"
         // Retrieval went through the prefix: the file only exists in the
         // simulated host's scratch dir, not the coordinator's.
         assert_eq!(
-            handle.retrieve().expect("retrieve"),
+            read_shard(handle.as_mut()).expect("retrieve"),
             "host alpha shard 1/4\n"
         );
         assert!(!local_shard_path(&dir, 1, 4).exists());
@@ -550,7 +533,7 @@ printf 'host %s shard %s\n' "$(basename "$(pwd)")" "$shard" > "$out"
             .expect("spawn");
         assert_eq!(handle.poll(), WorkerStatus::Running);
         handle.kill();
-        let status = handle.wait_deadline(Instant::now() + Duration::from_secs(10));
+        let status = wait_deadline(handle.as_mut(), Instant::now() + Duration::from_secs(10));
         match status {
             WorkerStatus::Exited { success, detail } => {
                 assert!(!success);
@@ -559,7 +542,7 @@ printf 'host %s shard %s\n' "$(basename "$(pwd)")" "$shard" > "$out"
             WorkerStatus::Running => panic!("worker survived kill"),
         }
         // The shard file was never written: retrieval is a clean error.
-        assert!(handle.retrieve().is_err());
+        assert!(handle.retrieve_stream().is_err());
     }
 
     #[test]
@@ -574,12 +557,12 @@ printf 'host %s shard %s\n' "$(basename "$(pwd)")" "$shard" > "$out"
         let mut assignment = assignment(&dir, &worker);
         assignment.index = 3;
         let mut handle = transport.spawn("beta", &assignment).expect("spawn");
-        let status = handle.wait_deadline(Instant::now() + Duration::from_secs(10));
+        let status = wait_deadline(handle.as_mut(), Instant::now() + Duration::from_secs(10));
         assert!(matches!(status, WorkerStatus::Exited { success: true, .. }));
         // `cat shard-3-of-4.txt` runs in this process's cwd where no such
         // file exists — the retrieval error names the failure.
-        let error = handle.retrieve().expect_err("missing remote file");
-        assert!(error.message.contains("retrieval command"), "{error}");
+        let error = read_shard(handle.as_mut()).expect_err("missing remote file");
+        assert!(error.to_string().contains("retrieval command"), "{error}");
     }
 
     #[test]

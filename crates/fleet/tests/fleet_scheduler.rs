@@ -9,7 +9,8 @@ use nvariant_fleet::{
     Divergence, Fleet, FleetConfig, FleetError, ShardAssignment, TransportError, WorkerHandle,
     WorkerStatus, WorkerTransport,
 };
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
+use std::io::{BufRead, Cursor};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -70,6 +71,8 @@ enum HostBehavior {
 struct MockTransport {
     /// Prepared shard interchange text, indexed by shard.
     texts: Vec<String>,
+    /// Text served instead by a shard's first attempt, by shard.
+    first_attempts: Mutex<BTreeMap<usize, String>>,
     behaviors: Mutex<Vec<(String, HostBehavior)>>,
 }
 
@@ -77,6 +80,7 @@ impl MockTransport {
     fn new(texts: Vec<String>, behaviors: Vec<(&str, HostBehavior)>) -> Self {
         MockTransport {
             texts,
+            first_attempts: Mutex::new(BTreeMap::new()),
             behaviors: Mutex::new(
                 behaviors
                     .into_iter()
@@ -84,6 +88,12 @@ impl MockTransport {
                     .collect(),
             ),
         }
+    }
+
+    /// Serves `text` from `shard`'s first attempt, the prepared text after.
+    fn first_attempt(self, shard: usize, text: String) -> Self {
+        self.first_attempts.lock().unwrap().insert(shard, text);
+        self
     }
 }
 
@@ -119,8 +129,8 @@ impl WorkerHandle for MockHandle {
         self.killed = true;
     }
 
-    fn retrieve(&mut self) -> Result<String, TransportError> {
-        Ok(self.text.clone())
+    fn retrieve_stream(&mut self) -> Result<Box<dyn BufRead + Send>, TransportError> {
+        Ok(Box::new(Cursor::new(self.text.clone().into_bytes())))
     }
 }
 
@@ -157,7 +167,12 @@ impl WorkerTransport for MockTransport {
             exits_ok,
             hangs,
             killed: false,
-            text: self.texts[assignment.index].clone(),
+            text: self
+                .first_attempts
+                .lock()
+                .unwrap()
+                .remove(&assignment.index)
+                .unwrap_or_else(|| self.texts[assignment.index].clone()),
         }))
     }
 }
@@ -344,6 +359,49 @@ fn hung_worker_is_killed_by_the_attempt_timeout() {
     let rendered = error.to_string();
     assert!(rendered.contains("timed out after"), "{rendered}");
     assert!(rendered.contains("was killed"), "{rendered}");
+}
+
+#[test]
+fn wrong_cell_set_is_retried_naming_the_coordinate() {
+    let plan = plan();
+    let whole = plan.run(1);
+    let texts = shard_texts(&plan, 2);
+    // Shard 0's first attempt delivers shard 1's valid file: the wrong
+    // slice. Shard 1's first attempt drops its last cell, (0, 0, 0, 3).
+    let mut short = plan.run_shard(1, 2, 1);
+    short.cells.pop();
+    let transport = MockTransport::new(texts.clone(), vec![("alpha", HostBehavior::Ok)])
+        .first_attempt(0, texts[1].clone())
+        .first_attempt(1, short.to_shard_text());
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let run = fleet_over(
+        &plan,
+        transport,
+        &["alpha"],
+        quick_config(2),
+        Arc::clone(&log),
+    )
+    .run()
+    .expect("both retries collect");
+
+    assert_eq!(run.report.canonical_text(), whole.canonical_text());
+    assert_eq!(run.retries, 2);
+    assert_eq!(run.hosts[0].failures, 2);
+    let lines = log.lock().unwrap().join("\n");
+    assert!(
+        lines.contains(
+            "shard 0: retrying (attempt 2): attempt 1: shard cell set: cell (config 0, \
+             world 0, scenario 0, replicate 1) falls outside"
+        ),
+        "{lines}"
+    );
+    assert!(
+        lines.contains(
+            "shard 1: retrying (attempt 2): attempt 1: shard cell set: merged shards cover 1 \
+             of 2 cells; missing (config 0, world 0, scenario 0, replicate 3)"
+        ),
+        "{lines}"
+    );
 }
 
 #[test]

@@ -56,13 +56,11 @@
 pub mod alarm;
 pub mod config;
 pub mod fdtable;
-pub mod metrics;
 pub mod monitor;
 pub mod provision;
 
 pub use alarm::{Alarm, DivergenceKind};
 pub use config::{DivergencePolicy, MonitorConfig};
 pub use fdtable::{VirtualFd, VirtualFdTable};
-pub use metrics::MonitorMetrics;
-pub use monitor::{NVariantMonitor, NVariantOutcome, StepEvent, StepObservation};
+pub use monitor::{ExecutionMetrics, NVariantMonitor, NVariantOutcome, StepEvent, StepObservation};
 pub use provision::provision_unshared_copies;

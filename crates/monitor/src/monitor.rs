@@ -4,12 +4,62 @@
 use crate::alarm::{Alarm, DivergenceKind};
 use crate::config::{DivergencePolicy, MonitorConfig};
 use crate::fdtable::VirtualFdTable;
-use crate::metrics::MonitorMetrics;
 use nvariant_diversity::{Canonicalizer, DataClass, VariantSet};
 use nvariant_simos::{OpenFlags, OsKernel, SyscallRequest, Sysno};
 use nvariant_types::{Errno, Fd, Gid, Pid, Port, StateHasher, Uid, VariantId, Word};
 use nvariant_vm::{Fault, Process, TrapReason};
 use serde::{Deserialize, Serialize};
+use std::fmt;
+
+/// Execution counters of one run, in the shape shared by single-process
+/// and N-variant deployments. They feed the performance model behind the
+/// Table 3 reproduction: per-request CPU cost is derived from the
+/// instructions executed by every variant plus the monitor's equivalence
+/// checks, while I/O bytes are charged once because the kernel performed
+/// them once.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ExecutionMetrics {
+    /// Number of variant processes that executed.
+    pub variants: usize,
+    /// Total bytecode instructions executed across all variants.
+    pub total_instructions: u64,
+    /// Synchronization points / system calls issued.
+    pub syscalls: u64,
+    /// Cross-variant equivalence checks performed by the monitor
+    /// (zero for single-process deployments).
+    pub monitor_checks: u64,
+    /// Table 2 detection calls (`uid_value`, `cond_chk`, `cc_*`) observed.
+    pub detection_calls: u64,
+    /// I/O bytes moved by the kernel: shared input and output once
+    /// regardless of the number of variants, unshared-file I/O per variant.
+    pub io_bytes: u64,
+}
+
+impl ExecutionMetrics {
+    /// Merges another run's counters into this one.
+    pub fn absorb(&mut self, other: &ExecutionMetrics) {
+        self.variants = self.variants.max(other.variants);
+        self.total_instructions += other.total_instructions;
+        self.syscalls += other.syscalls;
+        self.monitor_checks += other.monitor_checks;
+        self.detection_calls += other.detection_calls;
+        self.io_bytes += other.io_bytes;
+    }
+}
+
+impl fmt::Display for ExecutionMetrics {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} variants, {} instructions, {} syscalls, {} checks, {} I/O bytes",
+            self.variants,
+            self.total_instructions,
+            self.syscalls,
+            self.monitor_checks,
+            self.io_bytes
+        )
+    }
+}
 
 /// The observable outcome of running an N-variant group to completion.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -19,7 +69,7 @@ pub struct NVariantOutcome {
     /// The first alarm raised, if the run was terminated by divergence.
     pub alarm: Option<Alarm>,
     /// Execution counters.
-    pub metrics: MonitorMetrics,
+    pub metrics: ExecutionMetrics,
 }
 
 impl NVariantOutcome {
@@ -84,7 +134,10 @@ pub struct NVariantMonitor {
     variants: Vec<VariantRuntime>,
     vfds: VirtualFdTable,
     config: MonitorConfig,
-    metrics: MonitorMetrics,
+    metrics: ExecutionMetrics,
+    /// Bytes of shared externally visible output so far (the running total
+    /// behind [`StepObservation::output_delta`]).
+    output_bytes: u64,
     alarms: Vec<Alarm>,
     /// Syscall processed by the most recent synchronization point (reported
     /// through [`StepEvent::Progress`]).
@@ -137,7 +190,11 @@ impl NVariantMonitor {
             variants,
             vfds: VirtualFdTable::new(count),
             config,
-            metrics: MonitorMetrics::new(count),
+            metrics: ExecutionMetrics {
+                variants: count,
+                ..ExecutionMetrics::default()
+            },
+            output_bytes: 0,
             alarms: Vec::new(),
             last_sysno: None,
             last_divergent_args: false,
@@ -161,12 +218,6 @@ impl NVariantMonitor {
     #[must_use]
     pub fn group_pid(&self) -> Pid {
         self.group_pid
-    }
-
-    /// The execution counters collected so far.
-    #[must_use]
-    pub fn metrics(&self) -> &MonitorMetrics {
-        &self.metrics
     }
 
     /// Every alarm raised so far (more than one only under
@@ -217,7 +268,7 @@ impl NVariantMonitor {
     /// output occurred, without running to completion.
     pub fn step(&mut self) -> StepEvent {
         let alarms_before = self.alarms.len();
-        let output_before = self.metrics.output_bytes;
+        let output_before = self.output_bytes;
         self.last_sysno = None;
         self.last_divergent_args = false;
         match self.step_group() {
@@ -225,7 +276,7 @@ impl NVariantMonitor {
             None => StepEvent::Progress(StepObservation {
                 sysno: self.last_sysno,
                 alarms_raised: self.alarms.len() - alarms_before,
-                output_delta: self.metrics.output_bytes - output_before,
+                output_delta: self.output_bytes - output_before,
                 divergent_args: self.last_divergent_args,
             }),
         }
@@ -234,7 +285,7 @@ impl NVariantMonitor {
     /// A canonical digest of the group's full semantic state: kernel (time,
     /// accounts, filesystem, network, processes), every variant's machine
     /// state, the virtual descriptor table and the alarm count. Monotone
-    /// execution counters ([`MonitorMetrics`]) are deliberately excluded so
+    /// execution counters ([`ExecutionMetrics`]) are deliberately excluded so
     /// the model checker's visited-state pruning identifies states that are
     /// behaviourally identical but were reached by different paths.
     #[must_use]
@@ -351,7 +402,6 @@ impl NVariantMonitor {
     }
 
     fn terminate_with_alarm(&mut self, alarm: Alarm) -> NVariantOutcome {
-        self.metrics.alarms += 1;
         self.alarms.push(alarm.clone());
         NVariantOutcome {
             exit_status: None,
@@ -365,7 +415,6 @@ impl NVariantMonitor {
         match self.config.policy {
             DivergencePolicy::KillAndReport => Some(self.terminate_with_alarm(alarm)),
             DivergencePolicy::ReportAndContinue => {
-                self.metrics.alarms += 1;
                 self.alarms.push(alarm);
                 None
             }
@@ -408,7 +457,7 @@ impl NVariantMonitor {
             canonical_args.push(canon);
         }
         for index in 0..arg_count {
-            self.metrics.equivalence_checks += 1;
+            self.metrics.monitor_checks += 1;
             let first = canonical_args[0][index];
             if canonical_args.iter().any(|args| args[index] != first) {
                 self.last_divergent_args = true;
@@ -629,7 +678,7 @@ impl NVariantMonitor {
                 Err(_) => return ExecuteResult::Deliver(vec![errno_word(Errno::Efault); n]),
             }
         }
-        self.metrics.equivalence_checks += 1;
+        self.metrics.monitor_checks += 1;
         if paths.iter().any(|p| p != &paths[0]) {
             return ExecuteResult::Abort(Alarm::new(
                 DivergenceKind::ArgumentMismatch {
@@ -691,7 +740,7 @@ impl NVariantMonitor {
                 };
                 match self.kernel.read(self.group_pid, fd, count) {
                     Ok(data) => {
-                        self.metrics.unshared_bytes += data.len() as u64;
+                        self.metrics.io_bytes += data.len() as u64;
                         let addr = request.arg(1).as_addr();
                         match self.variants[index].process.write_bytes(addr, &data) {
                             Ok(()) => returns.push(Word::from_u32(data.len() as u32)),
@@ -717,7 +766,7 @@ impl NVariantMonitor {
         };
         match result {
             Ok(data) => {
-                self.metrics.input_bytes += data.len() as u64;
+                self.metrics.io_bytes += data.len() as u64;
                 let mut returns = Vec::with_capacity(n);
                 for (variant, request) in self.variants.iter_mut().zip(requests) {
                     let addr = request.arg(1).as_addr();
@@ -757,7 +806,7 @@ impl NVariantMonitor {
                     .and_then(|fd| self.kernel.write(self.group_pid, fd, payload));
                 match result {
                     Ok(len) => {
-                        self.metrics.unshared_bytes += len as u64;
+                        self.metrics.io_bytes += len as u64;
                         returns.push(Word::from_u32(len as u32));
                     }
                     Err(e) => returns.push(errno_word(e)),
@@ -767,7 +816,7 @@ impl NVariantMonitor {
         }
 
         // Shared output must be byte-identical across variants.
-        self.metrics.equivalence_checks += 1;
+        self.metrics.monitor_checks += 1;
         if payloads.iter().any(|p| p != &payloads[0]) {
             return ExecuteResult::Abort(Alarm::new(
                 DivergenceKind::OutputMismatch { sysno },
@@ -794,7 +843,8 @@ impl NVariantMonitor {
         };
         match result {
             Ok(len) => {
-                self.metrics.output_bytes += len as u64;
+                self.metrics.io_bytes += len as u64;
+                self.output_bytes += len as u64;
                 ExecuteResult::Deliver(vec![Word::from_u32(len as u32); n])
             }
             Err(e) => ExecuteResult::Deliver(vec![errno_word(e); n]),
@@ -913,16 +963,44 @@ mod tests {
         let mut monitor = monitor_for(source, &Variation::uid_diversity(), Uid::new(48));
         let outcome = monitor.run_to_completion();
         assert_eq!(outcome.exit_status, Some(0));
-        // The config file was read once, not once per variant.
+        // The config file was read once and the console written once, not
+        // once per variant.
         let conf_len = monitor.kernel().fs().get("/etc/httpd.conf").unwrap().len() as u64;
-        assert_eq!(outcome.metrics.input_bytes, conf_len);
-        assert_eq!(outcome.metrics.output_bytes, 9);
+        assert_eq!(outcome.metrics.io_bytes, conf_len + 9);
         let console = monitor
             .kernel()
             .console_output(monitor.group_pid())
             .unwrap()
             .to_vec();
         assert_eq!(console, b"Listen 80");
+    }
+
+    #[test]
+    fn stepped_output_deltas_sum_to_the_bytes_written() {
+        let source = r#"
+            fn main() -> int {
+                write(1, "hello ", 6);
+                write(1, "world", 5);
+                write(1, "\n", 1);
+                return 0;
+            }
+        "#;
+        let mut monitor = monitor_for(source, &Variation::uid_diversity(), Uid::new(48));
+        let mut output = 0;
+        let outcome = loop {
+            match monitor.step() {
+                StepEvent::Progress(observation) => output += observation.output_delta,
+                StepEvent::Done(outcome) => break outcome,
+            }
+        };
+        assert_eq!(outcome.exit_status, Some(0));
+        let console = monitor
+            .kernel()
+            .console_output(monitor.group_pid())
+            .unwrap();
+        assert_eq!(console, b"hello world\n");
+        assert_eq!(output, console.len() as u64);
+        assert_eq!(outcome.metrics.io_bytes, output);
     }
 
     #[test]
@@ -1072,7 +1150,14 @@ mod tests {
         let mut monitor = NVariantMonitor::new(kernel, processes, specs, Uid::ROOT, config);
         let outcome = monitor.run_to_completion();
         assert_eq!(outcome.exit_status, Some(0), "alarm: {:?}", outcome.alarm);
-        assert!(outcome.metrics.unshared_bytes > 0);
+        // Unshared-file input is charged per variant: each read its own copy.
+        let copies: u64 = (0..2)
+            .map(|index| {
+                let copy = monitor.kernel().fs().get(&format!("/etc/passwd-{index}"));
+                copy.unwrap().len().min(500) as u64
+            })
+            .sum();
+        assert_eq!(outcome.metrics.io_bytes, copies);
         assert_eq!(
             monitor
                 .kernel()
@@ -1193,8 +1278,8 @@ mod tests {
         let mut monitor = NVariantMonitor::new(kernel, processes, specs, Uid::new(48), config);
         let outcome = monitor.run_to_completion();
         assert_eq!(outcome.exit_status, Some(0));
-        assert!(outcome.metrics.alarms >= 1);
-        assert_eq!(monitor.alarms().len(), outcome.metrics.alarms as usize);
+        assert!(!monitor.alarms().is_empty());
+        assert_eq!(outcome.alarm.as_ref(), monitor.alarms().first());
     }
 
     #[test]
